@@ -148,10 +148,15 @@ func runPipeline(events int, shardList string, seed uint64, reps, epochs int, js
 		log.Fatal("parallel analysis diverged from the sequential baseline")
 	}
 	if gatePath != "" {
-		if err := experiments.GatePipelineRegression(gatePath, b, gatePct); err != nil {
+		compared, err := experiments.GatePipelineRegression(gatePath, b, gatePct)
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("pipeline gate passed (within %.0f%% of last entry in %s)\n", gatePct, gatePath)
+		if compared {
+			fmt.Printf("pipeline gate passed (within %.0f%% of last entry in %s)\n", gatePct, gatePath)
+		} else {
+			fmt.Printf("pipeline gate: no comparable baseline (GOMAXPROCS=%d, events=%d) in %s\n", b.GoMaxProcs, b.Events, gatePath)
+		}
 	}
 	if appendPath != "" {
 		if err := experiments.AppendPipelineTrajectory(appendPath, b); err != nil {

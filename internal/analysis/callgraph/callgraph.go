@@ -2,7 +2,7 @@
 // over go/types, the interprocedural substrate of the noisevet suite.
 // Per-package analyzers see one function at a time; the hot-path and
 // cancellation-flow contracts are properties of whole call chains
-// ("no allocation three calls below partitionRaw", "the context is
+// ("no allocation three calls below chunk.route", "the context is
 // threaded from AnalyzeRaw down to every loop"), so they need to know,
 // for every call site in the module, which in-repo bodies control can
 // transfer to.

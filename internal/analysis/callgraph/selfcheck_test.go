@@ -170,7 +170,7 @@ func TestSelfValidation(t *testing.T) {
 	// resolution, and goroutine edges to real code.
 	anchors := []string{
 		"osnoise/internal/noise.Analyze",
-		"osnoise/internal/noise.partitionRaw",
+		"osnoise/internal/noise.rawSource.scan",
 		"osnoise/internal/noise.AnalyzeParallel",
 		"osnoise/internal/trace.Decoder.Next",
 		"osnoise/internal/trace.ReadParallel",
@@ -182,14 +182,15 @@ func TestSelfValidation(t *testing.T) {
 		}
 	}
 
-	// AnalyzeRaw reaches partitionRaw (cross-function chain) and
-	// spawns goroutines somewhere in its reachable set.
+	// AnalyzeRaw reaches rawSource.scan (cross-function chain through the
+	// source interface) and spawns goroutines somewhere in its reachable
+	// set.
 	ap := g.NodeByName("osnoise/internal/noise.AnalyzeRaw")
-	pr := g.NodeByName("osnoise/internal/noise.partitionRaw")
+	pr := g.NodeByName("osnoise/internal/noise.rawSource.scan")
 	if ap != nil && pr != nil {
 		reach := g.Reachable(ap)
 		if !reach[pr] {
-			t.Errorf("partitionRaw not reachable from AnalyzeRaw")
+			t.Errorf("rawSource.scan not reachable from AnalyzeRaw")
 		}
 		goEdges := 0
 		for n := range reach {

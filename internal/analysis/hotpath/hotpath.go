@@ -7,7 +7,7 @@
 // (ROADMAP item 3 targets 100 M events/sec — at that rate a single
 // heap allocation per event is the difference between streaming and
 // thrashing). The rule cannot be checked one function at a time: an
-// innocent fmt.Errorf three calls below partitionRaw is exactly as
+// innocent fmt.Errorf three calls below chunk.route is exactly as
 // expensive as one in the loop itself.
 //
 // Functions opt in as roots with a //noisevet:hotpath directive on

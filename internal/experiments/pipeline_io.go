@@ -76,11 +76,13 @@ func (b *PipelineBench) bestShard() *PipelineShard {
 // parallel wall time is more than pct percent slower. Entries from a
 // different machine shape (GOMAXPROCS or event count changed) are
 // skipped rather than compared — a gate against an incomparable
-// baseline only produces noise. An empty history gates nothing.
-func GatePipelineRegression(path string, cur *PipelineBench, pct float64) error {
+// baseline only produces noise. compared reports whether a baseline
+// was found at all: an empty or incomparable history gates nothing, and
+// the caller must not present that as a pass.
+func GatePipelineRegression(path string, cur *PipelineBench, pct float64) (compared bool, err error) {
 	hist, err := LoadPipelineTrajectory(path)
 	if err != nil {
-		return err
+		return false, err
 	}
 	var last *PipelineBench
 	for i := len(hist) - 1; i >= 0; i-- {
@@ -90,16 +92,16 @@ func GatePipelineRegression(path string, cur *PipelineBench, pct float64) error 
 		}
 	}
 	if last == nil {
-		return nil
+		return false, nil
 	}
 	lb, cb := last.bestShard(), cur.bestShard()
 	if lb == nil || cb == nil {
-		return nil
+		return false, nil
 	}
 	limit := float64(lb.WallNS) * (1 + pct/100)
 	if float64(cb.WallNS) > limit {
-		return fmt.Errorf("pipeline regression: best parallel wall %v exceeds %.0f%% budget over last recorded %v (%d shards, %s)",
+		return true, fmt.Errorf("pipeline regression: best parallel wall %v exceeds %.0f%% budget over last recorded %v (%d shards, %s)",
 			time.Duration(cb.WallNS), pct, time.Duration(lb.WallNS), lb.Shards, last.Date)
 	}
-	return nil
+	return true, nil
 }

@@ -86,35 +86,35 @@ func TestPipelineTrajectoryLegacyMigration(t *testing.T) {
 func TestGatePipelineRegression(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_pipeline.json")
 
-	// Empty history gates nothing.
-	if err := GatePipelineRegression(path, entry(1, 1000, 999), 10); err != nil {
-		t.Fatalf("empty history: %v", err)
+	// Empty history gates nothing, and says so.
+	if compared, err := GatePipelineRegression(path, entry(1, 1000, 999), 10); err != nil || compared {
+		t.Fatalf("empty history: compared=%v err=%v, want false/nil", compared, err)
 	}
 
 	if err := AppendPipelineTrajectory(path, entry(1, 1000, 500)); err != nil {
 		t.Fatal(err)
 	}
 	// Within budget: 10% over 500 is 550.
-	if err := GatePipelineRegression(path, entry(1, 1000, 549), 10); err != nil {
-		t.Errorf("within budget: %v", err)
+	if compared, err := GatePipelineRegression(path, entry(1, 1000, 549), 10); err != nil || !compared {
+		t.Errorf("within budget: compared=%v err=%v, want true/nil", compared, err)
 	}
 	// Over budget fails.
-	if err := GatePipelineRegression(path, entry(1, 1000, 551), 10); err == nil {
-		t.Error("regression not caught")
+	if compared, err := GatePipelineRegression(path, entry(1, 1000, 551), 10); err == nil || !compared {
+		t.Errorf("regression not caught: compared=%v err=%v", compared, err)
 	}
 	// Incomparable machine shape (different GOMAXPROCS or event count)
-	// is skipped, not compared.
-	if err := GatePipelineRegression(path, entry(8, 1000, 5000), 10); err != nil {
-		t.Errorf("different gomaxprocs should skip: %v", err)
+	// is skipped, not compared — and reported as not compared.
+	if compared, err := GatePipelineRegression(path, entry(8, 1000, 5000), 10); err != nil || compared {
+		t.Errorf("different gomaxprocs should skip: compared=%v err=%v", compared, err)
 	}
-	if err := GatePipelineRegression(path, entry(1, 2000, 5000), 10); err != nil {
-		t.Errorf("different event count should skip: %v", err)
+	if compared, err := GatePipelineRegression(path, entry(1, 2000, 5000), 10); err != nil || compared {
+		t.Errorf("different event count should skip: compared=%v err=%v", compared, err)
 	}
 	// The gate compares against the LAST comparable entry.
 	if err := AppendPipelineTrajectory(path, entry(1, 1000, 300)); err != nil {
 		t.Fatal(err)
 	}
-	if err := GatePipelineRegression(path, entry(1, 1000, 340), 10); err == nil {
-		t.Error("regression vs newest entry not caught")
+	if compared, err := GatePipelineRegression(path, entry(1, 1000, 340), 10); err == nil || !compared {
+		t.Errorf("regression vs newest entry not caught: compared=%v err=%v", compared, err)
 	}
 }

@@ -184,3 +184,56 @@ func TestZeroBudgetIsUnlimited(t *testing.T) {
 		t.Fatal("zero budget degraded the report")
 	}
 }
+
+// TestRoutingThresholdFallback lowers the sharded pipeline's routing
+// threshold below the trace's event count. The in-memory and raw paths
+// can re-read their input, so they fall back to the sequential analyzer;
+// the stream path cannot, so it stops at the threshold exactly like an
+// event budget and reports that prefix, marked Incomplete.
+func TestRoutingThresholdFallback(t *testing.T) {
+	tr := simTrace(5)
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	threshold := uint64(len(tr.Events) / 3)
+	defer noise.SetMaxRouted(threshold)()
+
+	ctx := context.Background()
+	opts := noise.DefaultOptions()
+	want := noise.Analyze(tr, opts)
+	par, err := noise.AnalyzeParallel(ctx, tr, opts, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, par) {
+		t.Error("AnalyzeParallel past the threshold differs from Analyze")
+	}
+	rr, err := noise.AnalyzeRaw(ctx, bytes.NewReader(raw), int64(len(raw)), opts, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, rr) {
+		t.Error("AnalyzeRaw past the threshold differs from Analyze")
+	}
+
+	capped := opts
+	capped.Budget.MaxEvents = threshold
+	wantPrefix := noise.Analyze(tr, capped)
+	d, err := trace.NewDecoder(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	str, err := noise.AnalyzeStream(ctx, d, opts, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !str.Incomplete || str.EventsConsumed != threshold {
+		t.Fatalf("stream: incomplete=%v consumed=%d, want true/%d", str.Incomplete, str.EventsConsumed, threshold)
+	}
+	if !reflect.DeepEqual(wantPrefix, str) {
+		t.Error("AnalyzeStream past the threshold differs from Analyze under MaxEvents = threshold")
+		compareReports(t, wantPrefix, str)
+	}
+}

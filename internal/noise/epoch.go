@@ -29,8 +29,6 @@ import (
 	"context"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"osnoise/internal/trace"
 )
@@ -189,7 +187,7 @@ func replayCore[S replaySink](ctx context.Context, ctl *ctlStream, walkers []cpu
 			pos++
 		}
 		switch sr.kind {
-		case ctlSwitch:
+		case clSwitch:
 			cs := &cpus[sr.cpu]
 			prev, next, prevState := sr.a1, sr.a2, sr.a3
 			if prev != 0 && isApp(prev) {
@@ -230,7 +228,7 @@ func replayCore[S replaySink](ctx context.Context, ctl *ctlStream, walkers []cpu
 				st.lastRunner[sr.cpu] = next
 			}
 
-		case ctlMigrate:
+		case clMigrate:
 			pid, from, to := sr.a1, sr.a2, sr.a3
 			if w := windows[pid]; w != nil {
 				w.cpu = int32(to)
@@ -242,7 +240,7 @@ func replayCore[S replaySink](ctx context.Context, ctl *ctlStream, walkers []cpu
 				cpus[to].owner = pid
 			}
 
-		case ctlProcExit:
+		case clProcExit:
 			delete(windows, sr.a1)
 		}
 	}
@@ -347,32 +345,10 @@ func (r *Report) replayEpochs(ctx context.Context, ctl ctlStream, walkers []cpuW
 	}
 	perEpoch := (total+ctl.switches)/epochs + 16
 	sinks := make([]epochSink, epochs)
-	if workers > epochs {
-		workers = epochs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				e := int(next.Add(1)) - 1
-				if e >= epochs {
-					return
-				}
-				sinks[e].spans = make([]Span, 0, perEpoch)
-				replayCore(ctx, &ctl, walkers, &opts, isApp, states[e], &sinks[e], cutS[e], cutS[e+1], cutP[e], cutP[e+1])
-			}
-		}()
-	}
-	wg.Wait()
+	parallelFor(ctx, epochs, workers, func(e int) {
+		sinks[e].spans = make([]Span, 0, perEpoch)
+		replayCore(ctx, &ctl, walkers, &opts, isApp, states[e], &sinks[e], cutS[e], cutS[e+1], cutP[e], cutP[e+1])
+	})
 	final := states[epochs-1].windows
 	if ctx.Err() != nil {
 		return final, noiseIdx
@@ -381,15 +357,10 @@ func (r *Report) replayEpochs(ctx context.Context, ctl ctlStream, walkers []cpuW
 	// Merge: epoch order is stream order, so feeding the buffered spans
 	// through record epoch by epoch reproduces the sequential emission
 	// order — and with it the order-sensitive floating-point moments.
+	sink := &reportSink{r: r, keep: opts.KeepDurations, noiseIdx: noiseIdx}
 	for e := range sinks {
 		for _, s := range sinks[e].spans {
-			r.record(s, opts.KeepDurations)
-			if s.Noise {
-				noiseIdx[s.CPU] = append(noiseIdx[s.CPU], ispanKey{
-					start: s.Start, end: s.Start + s.Wall, own: s.Own,
-					key: s.Key, idx: int32(len(r.Spans) - 1),
-				})
-			}
+			sink.emit(s)
 		}
 	}
 	return final, noiseIdx

@@ -18,9 +18,9 @@ import (
 	"osnoise/internal/trace"
 )
 
-// shardEpochMatrix runs tr through AnalyzeParallel and AnalyzeRaw at
-// every shards × epochs combination and compares each report against
-// the sequential oracle.
+// shardEpochMatrix runs tr through AnalyzeParallel, AnalyzeRaw and
+// AnalyzeStream at every shards × epochs combination and compares each
+// report against the sequential oracle.
 func shardEpochMatrix(t *testing.T, tr *trace.Trace, base noise.Options) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -42,6 +42,17 @@ func shardEpochMatrix(t *testing.T, tr *trace.Trace, base noise.Options) {
 			})
 			t.Run(fmt.Sprintf("shards%d/epochs%d/raw", shards, epochs), func(t *testing.T) {
 				got, err := noise.AnalyzeRaw(context.Background(), bytes.NewReader(raw), int64(len(raw)), opts, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareReports(t, want, got)
+			})
+			t.Run(fmt.Sprintf("shards%d/epochs%d/stream", shards, epochs), func(t *testing.T) {
+				d, err := trace.NewDecoder(bytes.NewReader(raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := noise.AnalyzeStream(context.Background(), d, opts, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,7 +95,7 @@ func TestEpochCutInsideNestedInterruption(t *testing.T) {
 		trace.Event{TS: 120, CPU: 1, ID: trace.EvTrapEntry, Arg1: trace.TrapPageFault},
 		trace.Event{TS: 130, CPU: 1, ID: trace.EvTrapExit, Arg1: trace.TrapPageFault}, // exit 0
 		trace.Event{TS: 140, CPU: 1, ID: trace.EvTrapEntry, Arg1: trace.TrapPageFault},
-		trace.Event{TS: 150, CPU: 1, ID: trace.EvTrapExit, Arg1: trace.TrapPageFault}, // exit 1
+		trace.Event{TS: 150, CPU: 1, ID: trace.EvTrapExit, Arg1: trace.TrapPageFault},   // exit 1
 		trace.Event{TS: 160, CPU: 1, ID: trace.EvSoftIRQExit, Arg1: trace.SoftIRQTimer}, // exit 2
 		trace.Event{TS: 170, CPU: 1, ID: trace.EvIRQExit, Arg1: trace.IRQTimer},         // exit 3
 		// Kernel work on CPU 0 inside the open window: charged to its key,

@@ -12,22 +12,28 @@
 // sequentially, or split into time-epochs stitched at their boundaries
 // (epoch.go).
 //
-// The pipeline runs in three phases:
+// AnalyzeParallel, AnalyzeRaw and AnalyzeStream are thin wrappers over
+// one pipeline; they differ only in their source — how events reach it:
 //
-//  1. partition (parallel): a counting sort of the event stream into
-//     per-CPU entry/exit sub-streams — compact 16-byte records carrying
-//     exactly what span reconstruction needs — plus one global,
-//     order-preserving control stream;
-//  2. walk (parallel): one worker per CPU stream reconstructs spans —
-//     stack nesting, wall/own attribution — independently. On the raw
-//     path the walkers start while the partition is still scanning:
-//     chunks are handed off through rawHandoff as each one completes,
-//     so the two phases overlap instead of running back to back;
-//  3. replay: the control stream is walked, applying the
-//     scheduler/owner/preemption-window state machine and feeding every
-//     finished span through Report.record in exactly the order the
-//     sequential analyzer would have — in one pass, or epoch-split with
-//     boundary stitching (epoch.go) when opts.Epochs allows.
+//  1. route (source-specific producers): each source cuts its events
+//     into chunks — an in-memory slice and a raw trace into one
+//     record range per worker, routed concurrently; a decoder into
+//     fixed-size chunks as it reads — and chunk.route sorts every
+//     event into per-CPU entry/exit segments (compact 16-byte records
+//     carrying exactly what span reconstruction needs) plus the
+//     chunk's piece of the global, order-preserving control stream.
+//     Each chunk is published on the ordered hand-off the moment it
+//     is routed;
+//  2. walk (parallel, overlapped with routing): each walker owns a
+//     fixed set of CPUs and steps their segments of every chunk in
+//     stream order as the chunks are published — stack nesting,
+//     wall/own attribution — recycling each segment once walked;
+//  3. replay: the chunks' control-stream pieces are stitched and
+//     walked, applying the scheduler/owner/preemption-window state
+//     machine and feeding every finished span through Report.record in
+//     exactly the order the sequential analyzer would have — in one
+//     pass, or epoch-split with boundary stitching (epoch.go) when
+//     opts.Epochs allows.
 //
 // Because phase 3 performs the same accumulator calls in the same order
 // as Analyze, the resulting Report is bit-identical to the sequential
@@ -38,11 +44,11 @@
 // The walkers also pre-count spans per key, so the replay appends into
 // exactly-sized slices — the sequential analyzer cannot know those
 // counts without a second pass, which is how the pipeline stays ahead
-// even before any shard runs concurrently. The raw path additionally
-// recycles its large scratch buffers (per-chunk sub-streams, decode
-// arenas, walker span lists) through sync.Pools, so a steady-state
-// consumer — the noised daemon, the pipeline benchmark's repetitions —
-// stops paying allocation and page-zeroing costs after the first run.
+// even before any shard runs concurrently. The large scratch buffers
+// (per-CPU segments, decode arenas, walker span lists) are recycled
+// through sync.Pools, so a steady-state consumer — the noised daemon,
+// the pipeline benchmark's repetitions — stops paying allocation and
+// page-zeroing costs after the first run.
 //
 // Every entry point takes a context.Context and checks it at batch and
 // shard boundaries (see resilience.go): each phase joins its workers
@@ -69,12 +75,20 @@ import (
 // within microseconds.
 const cancelStride = 8192
 
+// maxRouted is the most event records one pipeline run routes: the
+// control stream positions scheduler records by int32 exit counts
+// (schedRec.exitsBefore). Past it (an ~86 GB trace) a source that can be
+// re-read falls back to the sequential analyzer, which produces the
+// identical report, and a stream stops there as at an event budget. A
+// variable so tests can reach both outcomes with a small trace.
+var maxRouted uint64 = math.MaxInt32
+
 // cev is one routed entry or exit record in a per-CPU sub-stream: the
 // 16 bytes of a 40-byte trace.Event that span reconstruction actually
 // consumes. For an entry, id is the expected exit tracepoint and key
-// the span's pre-classified activity Key (both computed during the
-// parallel partition, off the walkers' critical path); for an exit, id
-// is the exit tracepoint itself and key is cevExit.
+// the span's pre-classified activity Key (both computed while routing,
+// off the walkers' critical path); for an exit, id is the exit
+// tracepoint itself and key is cevExit.
 type cev struct {
 	ts  int64
 	id  uint16
@@ -85,9 +99,10 @@ type cev struct {
 // (< NumKeys), so the all-ones pattern can never collide with one.
 const cevExit = ^uint16(0)
 
-// Event classes for partition routing, precomputed per tracepoint ID so
-// the per-record work is one table load and one switch instead of a
-// chain of multi-case comparisons.
+// Event classes for routing, precomputed per tracepoint ID so the
+// per-record work is one table load and one switch instead of a chain
+// of multi-case comparisons. The three scheduler classes double as the
+// control stream's record kinds (schedRec.kind).
 const (
 	clIgnore uint8 = iota
 	clEntry
@@ -97,7 +112,7 @@ const (
 	clProcExit
 )
 
-// evClass maps every tracepoint ID to its partition routing class.
+// evClass maps every tracepoint ID to its routing class.
 var evClass = buildEvClass()
 
 // buildEvClass derives the routing table from the ID predicates the
@@ -130,15 +145,15 @@ func classOf(id trace.ID) uint8 {
 	return clIgnore
 }
 
-// Scratch-buffer pools for the raw pipeline. A steady-state consumer
-// (the daemon's per-window analyses, benchmark repetitions) reuses the
-// previous run's buffers instead of re-allocating — and re-zeroing —
-// tens of megabytes per run; see getSlice/putSlice.
+// Scratch-buffer pools. A steady-state consumer (the daemon's
+// per-stream analyses, benchmark repetitions) reuses the previous run's
+// buffers instead of re-allocating — and re-zeroing — tens of megabytes
+// per run; see getSlice/putSlice.
 var (
-	cevPool   sync.Pool // *[]cev: per-chunk per-CPU sub-streams
+	cevPool   sync.Pool // *[]cev: per-chunk per-CPU segments
 	exitPool  sync.Pool // *[]int32: per-chunk exit-CPU lists
 	spanPool  sync.Pool // *[]spanRec: per-CPU walker span lists
-	arenaPool sync.Pool // *[]trace.Event: per-worker decode arenas
+	arenaPool sync.Pool // *[]trace.Event: decode arenas
 	schedPool sync.Pool // *[]schedRec: per-chunk control-stream pieces
 )
 
@@ -162,6 +177,30 @@ func putSlice[T any](p *sync.Pool, s []T) {
 	}
 	s = s[:0]
 	p.Put(&s)
+}
+
+// parallelFor runs fn(i) for every i in [0,n) on up to workers
+// goroutines, each claiming the next unclaimed index. Workers stop
+// claiming once ctx is cancelled; every worker is joined before it
+// returns.
+func parallelFor(ctx context.Context, n, workers int, fn func(i int)) {
+	workers = max(min(workers, n), 1)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // spanRec is one reconstructed kernel-activity span before scheduler
@@ -232,24 +271,6 @@ func (w *cpuWalker) step(e cev) {
 	})
 }
 
-// entryCev builds the routed record of an entry event, pre-resolving
-// the expected exit ID and the activity key so the walker never touches
-// them again.
-func entryCev(ts int64, id trace.ID, vec int64) cev {
-	return cev{ts: ts, id: uint16(id.ExitFor()), key: uint16(keyOfSpan(id, vec))}
-}
-
-// ctlKind tags one scheduler record in the control stream.
-type ctlKind uint8
-
-// Scheduler record kinds: the three event types that mutate cross-CPU
-// analysis state.
-const (
-	ctlSwitch ctlKind = iota
-	ctlMigrate
-	ctlProcExit
-)
-
 // schedRec is one scheduler event in the control stream, positioned in
 // the global order by the number of span exits that precede it.
 type schedRec struct {
@@ -257,7 +278,7 @@ type schedRec struct {
 	a1, a2, a3  int64
 	exitsBefore int32 // exit events preceding this record globally
 	cpu         int32
-	kind        ctlKind
+	kind        uint8 // clSwitch, clMigrate or clProcExit
 }
 
 // ctlStream is the global-order projection of the event stream that the
@@ -280,541 +301,364 @@ func (o *Options) inWindow(ts int64) bool {
 	return ts >= o.FromNS && !(o.ToNS > 0 && ts > o.ToNS)
 }
 
-// partition routes the event stream into per-CPU entry/exit sub-streams
-// and the control stream, via a chunk-parallel counting sort that
-// preserves order everywhere. The sub-streams are compacted cev records
-// so the walkers scan 16 bytes per event instead of striding through
-// the full interleaved 40-byte stream. dropped counts events outside
-// the CPU range (mirroring Analyze's Dropped accounting for them).
+// chunk is one routed stretch of the event stream: per-CPU segments
+// for the walkers plus the chunk-local control-stream pieces, whose
+// exitsBefore positions count this chunk's exits only until stitch
+// offsets them.
+type chunk struct {
+	perCPU          [][]cev
+	exitCPU         []int32
+	sched           []schedRec
+	switches        int
+	dropped         int   // in-window records naming a CPU out of range
+	events          int   // records routed, filtered or not
+	firstTS, lastTS int64 // timestamps of the first and last routed record
+}
+
+// newChunk takes a chunk's buffers from the pools, sized for nrec
+// records: every CPU segment as if all records were entries/exits
+// spread uniformly (a slight overshoot that makes append growth the
+// rare case), the control stream for realistic traces' ~10% scheduler
+// records.
+func newChunk(ncpu, nrec int) *chunk {
+	c := &chunk{perCPU: make([][]cev, ncpu)}
+	for i := range c.perCPU {
+		c.perCPU[i] = getSlice[cev](&cevPool, nrec/ncpu+64)
+	}
+	c.exitCPU = getSlice[int32](&exitPool, nrec/2+64)
+	c.sched = getSlice[schedRec](&schedPool, nrec/8+64)
+	return c
+}
+
+// route appends one batch of events to the chunk. It is the pipeline's
+// only event classification: Analyze keeps its own switch as the
+// independent oracle. Records outside the analysis window are skipped
+// (the check is hoisted away when no window is set); in-window records
+// naming a CPU out of range are counted as dropped, mirroring Analyze.
 //
-// Both passes check ctx every cancelStride records; on cancellation the
-// chunk workers stop where they are, the pass still joins every worker,
-// and the context's error is returned. prog.events counts records
-// scanned by the first (counting) pass, at chunk-stride granularity.
-func partition(ctx context.Context, events []trace.Event, opts Options, ncpu, workers int, prog *progress) (perCPU [][]cev, ctl ctlStream, dropped int, err error) {
-	nchunk := workers
-	if nchunk < 1 {
-		nchunk = 1
+//noisevet:hotpath
+func (c *chunk) route(evs []trace.Event, opts *Options) {
+	if len(evs) == 0 {
+		return
 	}
-	if nchunk > len(events)/4096+1 {
-		nchunk = len(events)/4096 + 1
+	if c.events == 0 {
+		c.firstTS = evs[0].TS
 	}
-	bounds := make([]int, nchunk+1)
-	for i := 0; i <= nchunk; i++ {
-		bounds[i] = i * len(events) / nchunk
-	}
-
-	counts := make([][]int, nchunk) // per chunk, per CPU entry/exit count
-	exitCounts := make([]int, nchunk)
-	schedCounts := make([]int, nchunk)
-	switchCounts := make([]int, nchunk)
-	drops := make([]int, nchunk)
-	var wg sync.WaitGroup
-	for ci := 0; ci < nchunk; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			cnt := make([]int, ncpu)
-			chunk := events[bounds[ci]:bounds[ci+1]]
-			for base := 0; base < len(chunk); base += cancelStride {
-				if ctx.Err() != nil {
-					return
-				}
-				end := base + cancelStride
-				if end > len(chunk) {
-					end = len(chunk)
-				}
-				for _, ev := range chunk[base:end] {
-					if !opts.inWindow(ev.TS) {
-						continue
-					}
-					if ev.CPU < 0 || int(ev.CPU) >= ncpu {
-						drops[ci]++
-						continue
-					}
-					switch classOf(ev.ID) {
-					case clEntry:
-						cnt[ev.CPU]++
-					case clExit:
-						cnt[ev.CPU]++
-						exitCounts[ci]++
-					case clSwitch:
-						schedCounts[ci]++
-						switchCounts[ci]++
-					case clMigrate, clProcExit:
-						schedCounts[ci]++
-					}
-				}
-				prog.events.Add(uint64(end - base))
-			}
-			counts[ci] = cnt
-		}(ci)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, ctl, 0, err
-	}
-
-	// Exclusive prefix sums: where each chunk writes, per CPU and in the
-	// control stream. Chunk order equals stream order, so concatenating
-	// chunk ranges preserves per-CPU and global ordering.
-	offs := make([][]int, nchunk)
-	exitOffs := make([]int, nchunk)
-	schedOffs := make([]int, nchunk)
-	totals := make([]int, ncpu)
-	exitTotal, schedTotal := 0, 0
-	for ci := 0; ci < nchunk; ci++ {
-		offs[ci] = make([]int, ncpu)
-		copy(offs[ci], totals)
-		exitOffs[ci] = exitTotal
-		schedOffs[ci] = schedTotal
-		for c := 0; c < ncpu; c++ {
-			totals[c] += counts[ci][c]
+	c.lastTS = evs[len(evs)-1].TS
+	c.events += len(evs)
+	checkWin := opts.FromNS != 0 || opts.ToNS != 0
+	ncpu := uint32(len(c.perCPU))
+	for i := range evs {
+		ev := &evs[i]
+		if checkWin && !opts.inWindow(ev.TS) {
+			continue
 		}
-		exitTotal += exitCounts[ci]
-		schedTotal += schedCounts[ci]
-		dropped += drops[ci]
-		ctl.switches += switchCounts[ci]
-	}
-	perCPU = make([][]cev, ncpu)
-	for c := 0; c < ncpu; c++ {
-		perCPU[c] = make([]cev, totals[c])
-	}
-	ctl.exitCPU = make([]int32, exitTotal)
-	ctl.sched = make([]schedRec, schedTotal)
-
-	for ci := 0; ci < nchunk; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			pos := offs[ci]
-			exitPos := exitOffs[ci]
-			schedPos := schedOffs[ci]
-			chunk := events[bounds[ci]:bounds[ci+1]]
-			for base := 0; base < len(chunk); base += cancelStride {
-				if ctx.Err() != nil {
-					return
-				}
-				end := base + cancelStride
-				if end > len(chunk) {
-					end = len(chunk)
-				}
-				for _, ev := range chunk[base:end] {
-					if !opts.inWindow(ev.TS) {
-						continue
-					}
-					if ev.CPU < 0 || int(ev.CPU) >= ncpu {
-						continue
-					}
-					switch classOf(ev.ID) {
-					case clEntry:
-						perCPU[ev.CPU][pos[ev.CPU]] = entryCev(ev.TS, ev.ID, ev.Arg1)
-						pos[ev.CPU]++
-					case clExit:
-						perCPU[ev.CPU][pos[ev.CPU]] = cev{ts: ev.TS, id: uint16(ev.ID), key: cevExit}
-						pos[ev.CPU]++
-						ctl.exitCPU[exitPos] = ev.CPU
-						exitPos++
-					case clSwitch, clMigrate, clProcExit:
-						kind := ctlSwitch
-						switch classOf(ev.ID) {
-						case clMigrate:
-							kind = ctlMigrate
-						case clProcExit:
-							kind = ctlProcExit
-						}
-						ctl.sched[schedPos] = schedRec{
-							kind: kind, cpu: ev.CPU, ts: ev.TS,
-							a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
-							exitsBefore: int32(exitPos),
-						}
-						schedPos++
-					}
-				}
+		cpu := ev.CPU
+		if uint32(cpu) >= ncpu {
+			c.dropped++
+			continue
+		}
+		switch cl := classOf(ev.ID); cl {
+		case clEntry:
+			c.perCPU[cpu] = append(c.perCPU[cpu], cev{
+				ts: ev.TS, id: uint16(ev.ID.ExitFor()), key: uint16(keyOfSpan(ev.ID, ev.Arg1)),
+			})
+		case clExit:
+			c.perCPU[cpu] = append(c.perCPU[cpu], cev{ts: ev.TS, id: uint16(ev.ID), key: cevExit})
+			c.exitCPU = append(c.exitCPU, cpu)
+		case clSwitch, clMigrate, clProcExit:
+			if cl == clSwitch {
+				c.switches++
 			}
-		}(ci)
+			c.sched = append(c.sched, schedRec{
+				kind: cl, cpu: cpu, ts: ev.TS,
+				a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
+				exitsBefore: int32(len(c.exitCPU)),
+			})
+		}
 	}
-	wg.Wait()
+}
+
+// handoff is the ordered hand-off between a source's producers and the
+// walkers. It accepts any number of chunks, published in any order
+// (concurrent producers finish their ranges out of order); the walkers
+// consume them strictly in stream order, blocking until the next one
+// is published. Once closed, an unpublished chunk — the end of the
+// stream, or one skipped on cancellation or error — reads as nil, so a
+// walker can never hang.
+type handoff struct {
+	mu     sync.Mutex
+	ready  sync.Cond
+	chunks []*chunk
+	closed bool
+}
+
+// publish makes chunk i available to the walkers.
+func (h *handoff) publish(i int, c *chunk) {
+	h.mu.Lock()
+	for len(h.chunks) <= i {
+		h.chunks = append(h.chunks, nil)
+	}
+	h.chunks[i] = c
+	h.mu.Unlock()
+	h.ready.Broadcast()
+}
+
+// close ends publication; the producers must have returned.
+func (h *handoff) close() {
+	h.mu.Lock()
+	h.closed = true
+	h.mu.Unlock()
+	h.ready.Broadcast()
+}
+
+// wait blocks until chunk i is published and returns it, or returns nil
+// once the hand-off is closed without it.
+func (h *handoff) wait(i int) *chunk {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for {
+		if i < len(h.chunks) && h.chunks[i] != nil {
+			return h.chunks[i]
+		}
+		if h.closed {
+			return nil
+		}
+		h.ready.Wait()
+	}
+}
+
+// pipeline is the state of one sharded analysis run.
+type pipeline struct {
+	opts   Options
+	ncpu   int
+	shards int
+	// chunks is the expected chunk count (1 when open-ended), sizing the
+	// walkers' span lists. A producer sets it before its first publish,
+	// which orders the write before every walker's read.
+	chunks int
+	prog   progress
+	hand   handoff
+}
+
+// routeBatch routes one decoded batch into c, after a cancellation
+// check, and counts it as consumed.
+func (p *pipeline) routeBatch(ctx context.Context, c *chunk, evs []trace.Event) error {
 	if err := ctx.Err(); err != nil {
-		return nil, ctl, 0, err
+		return err
 	}
-	return perCPU, ctl, dropped, nil
+	c.route(evs, &p.opts)
+	p.prog.events.Add(uint64(len(evs)))
+	return nil
 }
 
-// chunkOut is one scan chunk's routed output: per-CPU sub-stream
-// segments plus the chunk-local control-stream pieces awaiting
-// stitching.
-type chunkOut struct {
-	perCPU   [][]cev
-	exitCPU  []int32
-	sched    []schedRec
-	switches int
-	dropped  int
-}
-
-// rawHandoff is the bounded hand-off between the raw partition and the
-// walkers: one slot and one readiness signal per scan chunk (the chunk
-// count bounds it). Scan workers fill outs[ci] and close done[ci];
-// walkers block on done[ci] before reading outs[ci], consuming chunks
-// strictly in order so each CPU sees its global event order. Every
-// done channel is closed exactly once even when a chunk is skipped on
-// cancellation, so a consumer can never hang.
-type rawHandoff struct {
-	outs []chunkOut
-	done []chan struct{}
-}
-
-// newRawHandoff sizes a hand-off for nchunk scan chunks.
-func newRawHandoff(nchunk int) *rawHandoff {
-	h := &rawHandoff{
-		outs: make([]chunkOut, nchunk),
-		done: make([]chan struct{}, nchunk),
-	}
-	for i := range h.done {
-		h.done[i] = make(chan struct{})
-	}
-	return h
-}
-
-// rawChunkCount is the scan-chunk count for a raw partition: one chunk
-// per worker, capped so tiny traces are not shredded into sub-4096
-// record fragments.
-func rawChunkCount(count uint64, workers int) int {
-	nchunk := workers
-	if nchunk < 1 {
-		nchunk = 1
-	}
-	if nchunk > int(count/4096)+1 {
-		nchunk = int(count/4096) + 1
-	}
-	return nchunk
-}
-
-// rawBatch is how many events one DecodeBatch call materialises into a
-// scan worker's arena: big enough to amortise the call and hoist the
+// rawBatch is how many events one decode call materialises into a
+// worker's arena: big enough to amortise the call and hoist the
 // per-event branches, small enough to stay L1-resident (20 KB).
 const rawBatch = 512
 
-// scanChunk routes one chunk's raw records into out: DecodeBatch
-// decodes rawBatch events at a time into the worker's reused arena, and
-// the routing loop classifies each via the evClass table. The analysis
-// window check is hoisted out entirely when no window is configured.
-//
-//noisevet:hotpath
-func scanChunk(ctx context.Context, rt *trace.RawTrace, opts *Options, ncpu int, lo, hi uint64, arena []trace.Event, out *chunkOut, prog *progress) error {
-	nrec := int(hi - lo)
-	// Size the chunk-local buffers as if every record were an entry/exit
-	// spread uniformly across CPUs: a slight overshoot that makes append
-	// growth (and its copies) the rare case instead of the common one.
-	capPer := nrec/ncpu + 64
-	out.perCPU = make([][]cev, ncpu)
-	for c := range out.perCPU {
-		out.perCPU[c] = getSlice[cev](&cevPool, capPer)
-	}
-	out.exitCPU = getSlice[int32](&exitPool, nrec/2+64)
-	// Scheduler records run ~10% of realistic traces; size for that so
-	// the control stream almost never regrows mid-scan.
-	out.sched = getSlice[schedRec](&schedPool, nrec/8+64)
-	checkWin := opts.FromNS != 0 || opts.ToNS != 0
-	return rt.Scan(lo, hi, func(_ uint64, b []byte) error {
-		for len(b) > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			n := trace.DecodeBatch(b, arena)
-			if n == 0 {
-				return nil
-			}
-			b = b[n*trace.EventSize:]
-			prog.events.Add(uint64(n))
-			for i := range arena[:n] {
-				ev := &arena[i]
-				if checkWin && !opts.inWindow(ev.TS) {
-					continue
-				}
-				cpu := ev.CPU
-				if uint32(cpu) >= uint32(ncpu) {
-					out.dropped++
-					continue
-				}
-				switch classOf(ev.ID) {
-				case clEntry:
-					out.perCPU[cpu] = append(out.perCPU[cpu], entryCev(ev.TS, ev.ID, ev.Arg1))
-				case clExit:
-					out.perCPU[cpu] = append(out.perCPU[cpu], cev{ts: ev.TS, id: uint16(ev.ID), key: cevExit})
-					out.exitCPU = append(out.exitCPU, cpu)
-				case clSwitch:
-					out.switches++
-					out.sched = append(out.sched, schedRec{
-						kind: ctlSwitch, cpu: cpu, ts: ev.TS,
-						a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
-						exitsBefore: int32(len(out.exitCPU)),
-					})
-				case clMigrate:
-					out.sched = append(out.sched, schedRec{
-						kind: ctlMigrate, cpu: cpu, ts: ev.TS,
-						a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
-						exitsBefore: int32(len(out.exitCPU)),
-					})
-				case clProcExit:
-					out.sched = append(out.sched, schedRec{
-						kind: ctlProcExit, cpu: cpu, ts: ev.TS,
-						a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
-						exitsBefore: int32(len(out.exitCPU)),
-					})
-				}
-			}
+// fillRanges is the producer of the re-readable sources: records [0,n)
+// are cut into one range per shard (at least 4096 records each), and up
+// to `shards` workers scan and route the ranges concurrently,
+// publishing every chunk as soon as it is routed. It returns the first
+// scan error in stream order.
+func (p *pipeline) fillRanges(ctx context.Context, n uint64, scan func(ctx context.Context, p *pipeline, c *chunk, lo, hi uint64) error) error {
+	nchunk := max(min(p.shards, int(n/4096)+1), 1)
+	p.chunks = nchunk
+	errs := make([]error, nchunk)
+	parallelFor(ctx, nchunk, p.shards, func(ci int) {
+		lo, hi := uint64(ci)*n/uint64(nchunk), uint64(ci+1)*n/uint64(nchunk)
+		c := newChunk(p.ncpu, int(hi-lo))
+		errs[ci] = scan(ctx, p, c, lo, hi)
+		if errs[ci] == nil {
+			p.hand.publish(ci, c)
 		}
-		return nil
 	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// partitionRaw is partition operating directly on the undecoded event
-// section of a fixed-format trace: scan workers claim chunks, bulk-
-// decode them with trace.DecodeBatch into reused arenas, and route the
-// records into chunk-local cev buffers — handing each finished chunk to
-// the concurrently running walkers through hand (see rawHandoff), so
-// span reconstruction overlaps the scan instead of waiting for it.
-// This is what lets AnalyzeRaw skip the whole []Event allocation a
-// Read-then-Analyze pipeline pays for.
-//
-// Only the small control stream is stitched after the scan, offsetting
-// each chunk's exitsBefore by the exits that came before it. count is
-// the number of records to partition — the full event count, or less
-// when an event/byte budget truncates ingestion to a prefix. dropped
-// (out-of-range CPU records) is summed over chunks exactly as the
-// sequential analyzer counts them; the equivalence suite asserts the
-// resulting Report.Dropped against Analyze's.
-//
-// The scan workers check ctx once per decode batch and count progress
-// into prog.events; on cancellation every worker is still joined, every
-// hand-off slot is still signalled, and the context's error is
-// returned.
+// walk starts the walker pool, joined through wg: worker w owns CPUs
+// w, w+workers, … and steps their segments of every published chunk in
+// stream order — each CPU's global event order — returning each
+// segment to its pool once walked, so no worker waits for the end of
+// the stream and no segment outlives its walk. Workers check ctx at
+// every chunk and every cancelStride records; a worker that saw the
+// whole stream counts its CPUs into prog.cpus.
 //
 //noisevet:hotpath
-func partitionRaw(ctx context.Context, rt *trace.RawTrace, opts Options, workers int, count uint64, prog *progress, hand *rawHandoff) (ctl ctlStream, dropped int, err error) {
-	ncpu := rt.CPUs()
-	nchunk := len(hand.outs)
-	bounds := make([]uint64, nchunk+1)
-	for i := 0; i <= nchunk; i++ {
-		bounds[i] = uint64(i) * count / uint64(nchunk)
-	}
-	nworker := workers
-	if nworker > nchunk {
-		nworker = nchunk
-	}
-	if nworker < 1 {
-		nworker = 1
-	}
-
-	errs := make([]error, nchunk)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nworker; w++ {
+func (p *pipeline) walk(ctx context.Context, walkers []cpuWalker, wg *sync.WaitGroup) {
+	workers := max(min(p.shards, p.ncpu), 1)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			arena := getSlice[trace.Event](&arenaPool, rawBatch)[:rawBatch]
-			defer putSlice(&arenaPool, arena)
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunk {
+			for ci := 0; ; ci++ {
+				c := p.hand.wait(ci)
+				if ctx.Err() != nil {
 					return
 				}
-				if ctx.Err() == nil {
-					errs[ci] = scanChunk(ctx, rt, &opts, ncpu,
-						bounds[ci], bounds[ci+1], arena, &hand.outs[ci], prog)
+				if c == nil {
+					break
 				}
-				// Signal even skipped/failed chunks: walkers waiting on
-				// this slot must unblock (they observe ctx themselves).
-				close(hand.done[ci])
+				for cpu := w; cpu < p.ncpu; cpu += workers {
+					wk, seg := &walkers[cpu], c.perCPU[cpu]
+					if wk.spans == nil {
+						// Roughly half a segment is exits, each closing at
+						// most one span.
+						wk.spans = getSlice[spanRec](&spanPool, len(seg)*p.chunks/2+16)
+					}
+					for base := 0; base < len(seg); base += cancelStride {
+						if ctx.Err() != nil {
+							return
+						}
+						for _, e := range seg[base:min(base+cancelStride, len(seg))] {
+							wk.step(e)
+						}
+					}
+					putSlice(&cevPool, seg)
+					c.perCPU[cpu] = nil
+				}
 			}
-		}()
+			p.prog.cpus.Add(int64((p.ncpu - w + workers - 1) / workers))
+		}(w)
 	}
+}
+
+// source is where a pipeline run's events come from — the one thing
+// the three entry points do differently.
+type source interface {
+	// shape returns the CPU count and the number of event records left
+	// to read.
+	shape() (cpus int, events uint64)
+	// fill routes records [0,n) into chunks published on p.hand.
+	fill(ctx context.Context, p *pipeline, n uint64) error
+	// appPIDs reads the application pid set from the source's process
+	// table; it is called after fill.
+	appPIDs() (map[int64]bool, error)
+}
+
+// rereader is a source that can be read again from the start, so a run
+// past maxRouted can fall back to the sequential analyzer.
+type rereader interface {
+	sequential(ctx context.Context, opts Options, shards int) (*Report, error)
+}
+
+// runPipeline is the one sharded analysis behind the three entry
+// points: the shared prologue (event cap, overflow guard, report
+// header), the source's producers overlapped with the walker pool, and
+// the shared tail — stitch, prealloc, replay, finish.
+func runPipeline(ctx context.Context, src source, opts Options, shards int) (*Report, error) {
+	ncpu, total := src.shape()
+	p := &pipeline{opts: opts, ncpu: ncpu, shards: shards, chunks: 1}
+	if p.shards <= 0 {
+		p.shards = runtime.GOMAXPROCS(0)
+	}
+	p.hand.ready.L = &p.hand.mu
+	r := &Report{CPUs: ncpu}
+	for k := Key(0); k < NumKeys; k++ {
+		r.PerKey[k] = &KeyStats{Key: k}
+	}
+	if ctx.Err() != nil {
+		return r.markCancelled(&p.prog), cancelErr(ctx)
+	}
+	n := min(total, opts.Budget.eventCap())
+	if n > maxRouted {
+		if rr, ok := src.(rereader); ok {
+			rep, err := rr.sequential(ctx, opts, p.shards)
+			if err != nil && ctx.Err() != nil {
+				return r.markCancelled(&p.prog), cancelErr(ctx)
+			}
+			return rep, err
+		}
+		n = maxRouted
+	}
+	r.Incomplete = n < total
+
+	walkers := make([]cpuWalker, ncpu)
+	for i := range walkers {
+		walkers[i].attributeNesting = opts.AttributeNesting
+	}
+	var wg sync.WaitGroup
+	p.walk(ctx, walkers, &wg)
+	err := src.fill(ctx, p, n)
+	p.hand.close()
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return ctl, 0, err
+	if ctx.Err() != nil {
+		return r.markCancelled(&p.prog), cancelErr(ctx)
 	}
-	for _, e := range errs {
-		if e != nil {
-			return ctl, 0, e
+	if err != nil {
+		return nil, err
+	}
+	appPIDs := opts.AppPIDs
+	if appPIDs == nil {
+		if appPIDs, err = src.appPIDs(); err != nil {
+			return nil, err
 		}
 	}
 
-	outs := hand.outs
+	ctl := r.stitch(p.hand.chunks)
+	if opts.ToNS > opts.FromNS && (opts.FromNS != 0 || opts.ToNS != 0) {
+		r.Seconds = float64(opts.ToNS-opts.FromNS) / 1e9
+	}
+	r.prealloc(walkers, ctl.switches, opts.KeepDurations)
+	windows, noiseIdx := r.replay(ctx, ctl, walkers, opts, appMatcher(appPIDs), p.shards)
+	if ctx.Err() != nil {
+		return r.markCancelled(&p.prog), cancelErr(ctx)
+	}
+	if err := r.finish(ctx, walkers, windows, noiseIdx, opts, p.shards); err != nil {
+		return r.markCancelled(&p.prog), cancelErr(ctx)
+	}
+	r.EventsConsumed = p.prog.events.Load()
+	// The Report copies everything it keeps; nothing aliases the spans.
+	for i := range walkers {
+		putSlice(&spanPool, walkers[i].spans)
+	}
+	return r, nil
+}
+
+// stitch concatenates the chunks' control-stream pieces into the global
+// control stream, offsetting each scheduler record's exitsBefore by the
+// exits of the chunks before it, and returns the pieces to their pools.
+// It also folds the chunks' drop counts into r, and their first and
+// last timestamps into r.Seconds — the span of the consumed records,
+// as Analyze reports it.
+func (r *Report) stitch(chunks []*chunk) ctlStream {
+	var ctl ctlStream
+	var first, last *chunk
 	exitTotal, schedTotal := 0, 0
-	for ci := range outs {
-		exitTotal += len(outs[ci].exitCPU)
-		schedTotal += len(outs[ci].sched)
-		ctl.switches += outs[ci].switches
-		dropped += outs[ci].dropped
+	for _, c := range chunks {
+		exitTotal += len(c.exitCPU)
+		schedTotal += len(c.sched)
+		ctl.switches += c.switches
+		r.Dropped += c.dropped
+		if c.events > 0 {
+			if first == nil {
+				first = c
+			}
+			last = c
+		}
+	}
+	if first != nil {
+		r.Seconds = float64(last.lastTS-first.firstTS) / 1e9
 	}
 	ctl.exitCPU = make([]int32, 0, exitTotal)
 	ctl.sched = make([]schedRec, 0, schedTotal)
-	for ci := range outs {
-		exitsBefore := int32(len(ctl.exitCPU))
-		ctl.exitCPU = append(ctl.exitCPU, outs[ci].exitCPU...)
-		for _, sr := range outs[ci].sched {
-			sr.exitsBefore += exitsBefore
+	for _, c := range chunks {
+		base := int32(len(ctl.exitCPU))
+		ctl.exitCPU = append(ctl.exitCPU, c.exitCPU...)
+		for _, sr := range c.sched {
+			sr.exitsBefore += base
 			ctl.sched = append(ctl.sched, sr)
 		}
+		putSlice(&exitPool, c.exitCPU)
+		putSlice(&schedPool, c.sched)
 	}
-	// The chunk exit and sched lists are fully stitched now; recycle
-	// them. The cev buffers are still being walked — AnalyzeRaw recycles
-	// those once the run completes.
-	for ci := range outs {
-		putSlice(&exitPool, outs[ci].exitCPU)
-		outs[ci].exitCPU = nil
-		putSlice(&schedPool, outs[ci].sched)
-		outs[ci].sched = nil
-	}
-	return ctl, dropped, nil
-}
-
-// recycleRaw returns a finished run's large scratch buffers — the
-// chunk-local cev sub-streams and the walkers' span lists — to their
-// pools. Only called after the replay and interruption build are done:
-// the Report copies everything it keeps, so nothing reachable from it
-// aliases these buffers.
-func recycleRaw(hand *rawHandoff, walkers []cpuWalker) {
-	for ci := range hand.outs {
-		for c := range hand.outs[ci].perCPU {
-			putSlice(&cevPool, hand.outs[ci].perCPU[c])
-		}
-		hand.outs[ci].perCPU = nil
-	}
-	for i := range walkers {
-		putSlice(&spanPool, walkers[i].spans)
-		walkers[i].spans = nil
-	}
-}
-
-// runWalkersSegs reconstructs spans for every CPU, consuming the raw
-// partition's chunks through hand as they become ready: each CPU's
-// walker steps through its segment of every chunk in chunk order —
-// exactly the CPU's global event order — blocking on a chunk's hand-off
-// signal only when the scan has not produced it yet. Workers check ctx
-// at every CPU claim, every chunk boundary, and every cancelStride
-// steps within a chunk; finished walkers are counted into prog.cpus.
-//
-//noisevet:hotpath
-func runWalkersSegs(ctx context.Context, hand *rawHandoff, ncpu int, attributeNesting bool, workers int, prog *progress) ([]cpuWalker, error) {
-	walkers := make([]cpuWalker, ncpu)
-	if workers > ncpu {
-		workers = ncpu
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				c := int(next.Add(1)) - 1
-				if c >= ncpu {
-					return
-				}
-				wk := &walkers[c]
-				wk.attributeNesting = attributeNesting
-				stepped := 0
-				for ci := range hand.outs {
-					<-hand.done[ci]
-					if ctx.Err() != nil {
-						return
-					}
-					out := &hand.outs[ci]
-					if len(out.perCPU) <= c {
-						continue // chunk skipped on cancellation
-					}
-					seg := out.perCPU[c]
-					if wk.spans == nil {
-						// Size from the first chunk: chunks are uniform
-						// record ranges, and roughly half a sub-stream is
-						// exits, each closing at most one span.
-						wk.spans = getSlice[spanRec](&spanPool, (len(seg)*len(hand.outs))/2+16)
-					}
-					for i := range seg {
-						wk.step(seg[i])
-						if stepped++; stepped >= cancelStride {
-							stepped = 0
-							if ctx.Err() != nil {
-								return
-							}
-						}
-					}
-				}
-				prog.cpus.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return walkers, nil
-}
-
-// runWalkers reconstructs spans for every CPU sub-stream using a pool of
-// at most `workers` goroutines. Workers check ctx at every CPU claim and
-// every cancelStride steps within a CPU; finished walkers are counted
-// into prog.cpus.
-//
-//noisevet:hotpath
-func runWalkers(ctx context.Context, perCPU [][]cev, attributeNesting bool, workers int, prog *progress) ([]cpuWalker, error) {
-	walkers := make([]cpuWalker, len(perCPU))
-	if workers > len(perCPU) {
-		workers = len(perCPU)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				c := int(next.Add(1)) - 1
-				if c >= len(perCPU) {
-					return
-				}
-				wk := &walkers[c]
-				wk.attributeNesting = attributeNesting
-				// Roughly half the sub-stream is exits, each closing at
-				// most one span.
-				wk.spans = make([]spanRec, 0, len(perCPU[c])/2+1)
-				stream := perCPU[c]
-				for base := 0; base < len(stream); base += cancelStride {
-					if ctx.Err() != nil {
-						return
-					}
-					end := base + cancelStride
-					if end > len(stream) {
-						end = len(stream)
-					}
-					for _, ev := range stream[base:end] {
-						wk.step(ev)
-					}
-				}
-				prog.cpus.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return walkers, nil
+	return ctl
 }
 
 // prealloc right-sizes the report's append targets before the replay:
@@ -1029,38 +873,16 @@ func (r *Report) buildInterruptionsParallel(ctx context.Context, noiseIdx [][]is
 	if len(cpuIDs) == 0 {
 		return ctx.Err()
 	}
-	if workers > len(cpuIDs) {
-		workers = len(cpuIDs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 
 	keysPer := make([][]ispanKey, len(cpuIDs))
 	counts := make([]int, len(cpuIDs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(cpuIDs) {
-					return
-				}
-				// The index was written in record order; sort it in place
-				// (nothing else reads it after this phase).
-				keysPer[i] = noiseIdx[cpuIDs[i]]
-				sortInterruptionKeys(keysPer[i])
-				counts[i] = countInterruptions(keysPer[i], gap)
-			}
-		}()
-	}
-	wg.Wait()
+	parallelFor(ctx, len(cpuIDs), workers, func(i int) {
+		// The index was written in record order; sort it in place
+		// (nothing else reads it after this phase).
+		keysPer[i] = noiseIdx[cpuIDs[i]]
+		sortInterruptionKeys(keysPer[i])
+		counts[i] = countInterruptions(keysPer[i], gap)
+	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -1075,27 +897,11 @@ func (r *Report) buildInterruptionsParallel(ctx context.Context, noiseIdx [][]is
 	}
 	r.Interruptions = make([]Interruption, intOffs[len(cpuIDs)])
 	comps := make([]Component, keyOffs[len(cpuIDs)])
-
-	next.Store(0)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(cpuIDs) {
-					return
-				}
-				fillInterruptions(cpuIDs[i], keysPer[i], gap,
-					r.Interruptions[intOffs[i]:intOffs[i+1]],
-					comps[keyOffs[i]:keyOffs[i+1]])
-			}
-		}()
-	}
-	wg.Wait()
+	parallelFor(ctx, len(cpuIDs), workers, func(i int) {
+		fillInterruptions(cpuIDs[i], keysPer[i], gap,
+			r.Interruptions[intOffs[i]:intOffs[i+1]],
+			comps[keyOffs[i]:keyOffs[i+1]])
+	})
 	return ctx.Err()
 }
 
@@ -1141,64 +947,46 @@ func (r *Report) finish(ctx context.Context, walkers []cpuWalker, windows map[in
 // EventsConsumed/CPUsFinished) is returned together with an error
 // wrapping both ErrCancelled and ctx.Err().
 func AnalyzeParallel(ctx context.Context, tr *trace.Trace, opts Options, shards int) (*Report, error) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	var prog progress
-	events, truncated := opts.Budget.truncate(tr.Events)
-	if len(events) > math.MaxInt32 {
-		// The control stream counts exits in int32 (schedRec.exitsBefore);
-		// beyond that (an ~86 GB trace) fall back to the sequential
-		// analyzer, which produces the identical report.
-		if ctx.Err() != nil {
-			return (&Report{CPUs: tr.CPUs}).markCancelled(&prog), cancelErr(ctx)
-		}
-		return Analyze(tr, opts), nil
-	}
-	r := &Report{CPUs: tr.CPUs, Seconds: tr.DurationSeconds()}
-	if truncated {
-		r.Incomplete = true
-		r.Seconds = spanSeconds(events)
-	}
-	if opts.ToNS > opts.FromNS && (opts.FromNS != 0 || opts.ToNS != 0) {
-		r.Seconds = float64(opts.ToNS-opts.FromNS) / 1e9
-	}
-	for k := Key(0); k < NumKeys; k++ {
-		r.PerKey[k] = &KeyStats{Key: k}
-	}
-	appPIDs := opts.AppPIDs
-	if appPIDs == nil {
-		appPIDs = tr.AppPIDs()
-	}
+	return runPipeline(ctx, memSource{tr}, opts, shards)
+}
 
-	perCPU, ctl, dropped, err := partition(ctx, events, opts, tr.CPUs, shards, &prog)
-	if err != nil {
-		return r.markCancelled(&prog), cancelErr(ctx)
+// memSource feeds the pipeline from an in-memory trace.
+type memSource struct{ tr *trace.Trace }
+
+// shape returns the trace's CPU and event counts.
+func (s memSource) shape() (int, uint64) { return s.tr.CPUs, uint64(len(s.tr.Events)) }
+
+// fill routes the events' ranges straight from the slice.
+func (s memSource) fill(ctx context.Context, p *pipeline, n uint64) error {
+	return p.fillRanges(ctx, n, s.scan)
+}
+
+// scan routes events [lo,hi) into c, cancelStride records at a time.
+//
+//noisevet:hotpath
+func (s memSource) scan(ctx context.Context, p *pipeline, c *chunk, lo, hi uint64) error {
+	for ; lo < hi; lo += cancelStride {
+		if err := p.routeBatch(ctx, c, s.tr.Events[lo:min(lo+cancelStride, hi)]); err != nil {
+			return err
+		}
 	}
-	r.Dropped += dropped
-	walkers, err := runWalkers(ctx, perCPU, opts.AttributeNesting, shards, &prog)
-	if err != nil {
-		return r.markCancelled(&prog), cancelErr(ctx)
-	}
-	r.prealloc(walkers, ctl.switches, opts.KeepDurations)
-	windows, noiseIdx := r.replay(ctx, ctl, walkers, opts, appMatcher(appPIDs), shards)
-	if ctx.Err() != nil {
-		return r.markCancelled(&prog), cancelErr(ctx)
-	}
-	if err := r.finish(ctx, walkers, windows, noiseIdx, opts, shards); err != nil {
-		return r.markCancelled(&prog), cancelErr(ctx)
-	}
-	r.EventsConsumed = uint64(len(events))
-	return r, nil
+	return nil
+}
+
+// appPIDs returns the trace's application pids.
+func (s memSource) appPIDs() (map[int64]bool, error) { return s.tr.AppPIDs(), nil }
+
+// sequential falls back to Analyze.
+func (s memSource) sequential(_ context.Context, opts Options, _ int) (*Report, error) {
+	return Analyze(s.tr, opts), nil
 }
 
 // AnalyzeRaw runs the sharded analysis directly over the undecoded
 // bytes of a fixed-format trace in a random-access source (a file or a
 // bytes.Reader), using up to `shards` workers (≤ 0 means GOMAXPROCS).
-// It never materialises the full []Event: the partition phase bulk-
-// decodes the raw records through reused arenas into compact per-CPU
-// sub-streams, handing finished chunks to the concurrently running
-// walkers (partition and walk overlap; see rawHandoff). The report is
+// It never materialises the full []Event: each worker bulk-decodes its
+// record range through a reused arena into compact per-CPU segments,
+// which the walkers consume while the scan goes on. The report is
 // bit-identical to Analyze(trace.Read(...)) on the same bytes.
 //
 // This is the fastest path from trace bytes to a Report and the one the
@@ -1210,289 +998,143 @@ func AnalyzeParallel(ctx context.Context, tr *trace.Trace, opts Options, shards 
 // wrapping both ErrCancelled and ctx.Err(). An event/byte budget
 // truncates the scan to the trace's prefix without reading the rest.
 func AnalyzeRaw(ctx context.Context, ra io.ReaderAt, size int64, opts Options, shards int) (*Report, error) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
 	rt, err := trace.OpenRaw(ra, size)
 	if err != nil {
 		return nil, err
 	}
-	var prog progress
-	count := rt.EventCount()
-	truncated := false
-	if limit := opts.Budget.eventCap(); count > limit {
-		count, truncated = limit, true
-	}
-	if count > math.MaxInt32 {
-		tr, err := trace.ReadParallel(ctx, ra, size, shards)
-		if err != nil {
-			if ctx.Err() != nil {
-				return (&Report{CPUs: rt.CPUs()}).markCancelled(&prog), cancelErr(ctx)
-			}
-			return nil, err
-		}
-		return Analyze(tr, opts), nil
-	}
-	r := &Report{CPUs: rt.CPUs(), Incomplete: truncated}
-	for k := Key(0); k < NumKeys; k++ {
-		r.PerKey[k] = &KeyStats{Key: k}
-	}
-	// Trace.DurationSeconds spans the first to the last record; only two
-	// records need decoding to reproduce it. Under a budget the span
-	// covers the consumed prefix, like spanSeconds in the other paths.
-	if count > 0 {
-		first, err := rt.Event(0)
-		if err != nil {
-			return nil, err
-		}
-		last, err := rt.Event(count - 1)
-		if err != nil {
-			return nil, err
-		}
-		r.Seconds = float64(last.TS-first.TS) / 1e9
-	}
-	if opts.ToNS > opts.FromNS && (opts.FromNS != 0 || opts.ToNS != 0) {
-		r.Seconds = float64(opts.ToNS-opts.FromNS) / 1e9
-	}
-	appPIDs := opts.AppPIDs
-	if appPIDs == nil {
-		procs, err := rt.Procs()
-		if err != nil {
-			return nil, err
-		}
-		appPIDs = (&trace.Trace{Procs: procs}).AppPIDs()
-	}
-
-	// Overlapped partition + walk: the walkers start first, blocked on
-	// the hand-off, and consume each chunk as the scan finishes it.
-	hand := newRawHandoff(rawChunkCount(count, shards))
-	var (
-		walkers []cpuWalker
-		werr    error
-		wwg     sync.WaitGroup
-	)
-	wwg.Add(1)
-	go func() {
-		defer wwg.Done()
-		walkers, werr = runWalkersSegs(ctx, hand, rt.CPUs(), opts.AttributeNesting, shards, &prog)
-	}()
-	ctl, dropped, err := partitionRaw(ctx, rt, opts, shards, count, &prog, hand)
-	wwg.Wait()
-	if err != nil {
-		if ctx.Err() != nil {
-			return r.markCancelled(&prog), cancelErr(ctx)
-		}
-		return nil, err
-	}
-	if werr != nil {
-		return r.markCancelled(&prog), cancelErr(ctx)
-	}
-	r.Dropped += dropped
-	r.prealloc(walkers, ctl.switches, opts.KeepDurations)
-	windows, noiseIdx := r.replay(ctx, ctl, walkers, opts, appMatcher(appPIDs), shards)
-	if ctx.Err() != nil {
-		return r.markCancelled(&prog), cancelErr(ctx)
-	}
-	if err := r.finish(ctx, walkers, windows, noiseIdx, opts, shards); err != nil {
-		return r.markCancelled(&prog), cancelErr(ctx)
-	}
-	r.EventsConsumed = count
-	recycleRaw(hand, walkers)
-	return r, nil
+	return runPipeline(ctx, rawSource{rt, ra, size}, opts, shards)
 }
 
-// streamBatch is one routed slice of a CPU's entry/exit sub-stream.
-type streamBatch struct {
-	cpu int32
-	evs []cev
+// rawSource feeds the pipeline from a fixed-format trace's raw bytes.
+type rawSource struct {
+	rt   *trace.RawTrace
+	ra   io.ReaderAt
+	size int64
+}
+
+// shape returns the trace header's CPU and event counts.
+func (s rawSource) shape() (int, uint64) { return s.rt.CPUs(), s.rt.EventCount() }
+
+// fill scans and routes the record ranges concurrently.
+func (s rawSource) fill(ctx context.Context, p *pipeline, n uint64) error {
+	return p.fillRanges(ctx, n, s.scan)
+}
+
+// scan routes records [lo,hi) into c: DecodeBatch decodes rawBatch
+// events at a time into a pooled arena.
+//
+//noisevet:hotpath
+func (s rawSource) scan(ctx context.Context, p *pipeline, c *chunk, lo, hi uint64) error {
+	arena := getSlice[trace.Event](&arenaPool, rawBatch)[:rawBatch]
+	defer putSlice(&arenaPool, arena)
+	return s.rt.Scan(lo, hi, func(_ uint64, b []byte) error {
+		for len(b) > 0 {
+			n := trace.DecodeBatch(b, arena)
+			if n == 0 {
+				return nil
+			}
+			b = b[n*trace.EventSize:]
+			if err := p.routeBatch(ctx, c, arena[:n]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// appPIDs returns the application pids of the trace's process table.
+func (s rawSource) appPIDs() (map[int64]bool, error) {
+	procs, err := s.rt.Procs()
+	if err != nil {
+		return nil, err
+	}
+	return (&trace.Trace{Procs: procs}).AppPIDs(), nil
+}
+
+// sequential decodes the whole trace and falls back to Analyze.
+func (s rawSource) sequential(ctx context.Context, opts Options, shards int) (*Report, error) {
+	tr, err := trace.ReadParallel(ctx, s.ra, s.size, shards)
+	if err != nil {
+		return nil, err
+	}
+	return Analyze(tr, opts), nil
 }
 
 // AnalyzeStream runs the sharded analysis over a streaming decoder
 // without materialising the whole event section: events are decoded in
-// batches, routed to per-CPU walker goroutines as they arrive (decode
-// overlaps with span reconstruction), and only the control stream and
-// the reconstructed spans are retained for the replay. The report is
-// bit-identical to Analyze/AnalyzeParallel on the same trace.
+// batches and routed into fixed-size chunks that the walkers consume
+// as each one fills (decode overlaps with span reconstruction), and
+// only the control stream and the reconstructed spans are retained for
+// the replay. The report is bit-identical to Analyze/AnalyzeParallel on
+// the same trace.
 //
 // If opts.AppPIDs is nil the application set is taken from the trace's
 // process table, which the decoder reads after the last event.
 //
 // Cancelling ctx stops the run at the next decode batch with no leaked
-// goroutines (the walker pool is always drained and joined); the
-// partial Report (marked Incomplete, with EventsConsumed) is returned
-// together with an error wrapping both ErrCancelled and ctx.Err(). An
-// event/byte budget stops decoding at the cap and degrades to a
-// prefix-complete report.
+// goroutines (the walker pool is always joined); the partial Report
+// (marked Incomplete, with EventsConsumed) is returned together with an
+// error wrapping both ErrCancelled and ctx.Err(). An event/byte budget
+// stops decoding at the cap and degrades to a prefix-complete report.
 func AnalyzeStream(ctx context.Context, d *trace.Decoder, opts Options, shards int) (*Report, error) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	ncpu := d.CPUs()
-	r := &Report{CPUs: ncpu}
-	for k := Key(0); k < NumKeys; k++ {
-		r.PerKey[k] = &KeyStats{Key: k}
-	}
+	return runPipeline(ctx, streamSource{d}, opts, shards)
+}
 
-	workers := shards
-	if workers > ncpu {
-		workers = ncpu
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	walkers := make([]cpuWalker, ncpu)
-	for c := range walkers {
-		walkers[c].attributeNesting = opts.AttributeNesting
-	}
-	chans := make([]chan streamBatch, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		chans[w] = make(chan streamBatch, 64)
-		wg.Add(1)
-		go func(ch chan streamBatch) {
-			defer wg.Done()
-			for b := range ch {
-				wk := &walkers[b.cpu]
-				for _, ev := range b.evs {
-					wk.step(ev)
-				}
-			}
-		}(chans[w])
-	}
-	// join drains and joins the walker pool; every return path runs it,
-	// which is what guarantees zero leaked goroutines on cancellation.
-	join := func() {
-		for _, ch := range chans {
-			close(ch)
-		}
-		wg.Wait()
-	}
+// streamSource feeds the pipeline from a streaming decoder. It cannot
+// be re-read, so past maxRouted it stops like an event budget.
+type streamSource struct{ d *trace.Decoder }
 
-	const batchLen = 4096
-	var (
-		prog      progress
-		eventCap  = opts.Budget.eventCap()
-		truncated bool
-		ctl       ctlStream
-		pending   = make([][]cev, ncpu)
-		batch     = make([]trace.Event, batchLen)
-		firstTS   int64
-		lastTS    int64
-		any       bool
-		dropped   int
-		readErr   error
-	)
-	flush := func(cpu int32) {
-		if len(pending[cpu]) == 0 {
-			return
+// streamChunk is how many records the stream path routes into one chunk
+// before publishing it to the walkers.
+const streamChunk = 1 << 15
+
+// shape returns the header's CPU count and the events not yet decoded.
+func (s streamSource) shape() (int, uint64) { return s.d.CPUs(), s.d.Remaining() }
+
+// fill decodes the first n events batch by batch through a pooled
+// arena, publishing a chunk every streamChunk records. The decoder
+// yields exactly the header's event count or fails, so every error
+// here is a read error.
+//
+//noisevet:hotpath
+func (s streamSource) fill(ctx context.Context, p *pipeline, n uint64) error {
+	arena := getSlice[trace.Event](&arenaPool, rawBatch)[:rawBatch]
+	defer putSlice(&arenaPool, arena)
+	var c *chunk
+	ci := 0
+	for got := uint64(0); got < n; {
+		if c == nil {
+			c = newChunk(p.ncpu, int(min(n-got, streamChunk)))
 		}
-		chans[int(cpu)%workers] <- streamBatch{cpu: cpu, evs: pending[cpu]}
-		pending[cpu] = nil
-	}
-	for {
-		if ctx.Err() != nil {
-			join()
-			return r.markCancelled(&prog), cancelErr(ctx)
-		}
-		n, err := d.Next(batch)
-		evs := batch[:n]
-		if left := eventCap - prog.events.Load(); uint64(len(evs)) > left {
-			evs, truncated = evs[:left], true
-		}
-		prog.events.Add(uint64(len(evs)))
-		for _, ev := range evs {
-			if !any {
-				firstTS, any = ev.TS, true
-			}
-			lastTS = ev.TS
-			if !opts.inWindow(ev.TS) {
-				continue
-			}
-			if ev.CPU < 0 || int(ev.CPU) >= ncpu {
-				dropped++
-				continue
-			}
-			switch classOf(ev.ID) {
-			case clEntry:
-				pending[ev.CPU] = append(pending[ev.CPU], entryCev(ev.TS, ev.ID, ev.Arg1))
-				if len(pending[ev.CPU]) >= batchLen {
-					flush(ev.CPU)
-				}
-			case clExit:
-				pending[ev.CPU] = append(pending[ev.CPU], cev{ts: ev.TS, id: uint16(ev.ID), key: cevExit})
-				ctl.exitCPU = append(ctl.exitCPU, ev.CPU)
-				if len(pending[ev.CPU]) >= batchLen {
-					flush(ev.CPU)
-				}
-			case clSwitch:
-				ctl.switches++
-				ctl.sched = append(ctl.sched, schedRec{
-					kind: ctlSwitch, cpu: ev.CPU, ts: ev.TS,
-					a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
-					exitsBefore: int32(len(ctl.exitCPU)),
-				})
-			case clMigrate:
-				ctl.sched = append(ctl.sched, schedRec{
-					kind: ctlMigrate, cpu: ev.CPU,
-					a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
-					exitsBefore: int32(len(ctl.exitCPU)),
-				})
-			case clProcExit:
-				ctl.sched = append(ctl.sched, schedRec{
-					kind: ctlProcExit, a1: ev.Arg1,
-					exitsBefore: int32(len(ctl.exitCPU)),
-				})
-			}
-		}
-		if truncated {
-			break
-		}
-		if err == io.EOF {
-			break
+		k, err := s.d.Next(arena[:min(n-got, rawBatch)])
+		if rerr := p.routeBatch(ctx, c, arena[:k]); rerr != nil {
+			return rerr
 		}
 		if err != nil {
-			readErr = err
-			break
+			return err
+		}
+		got += uint64(k)
+		if c.events >= streamChunk {
+			p.hand.publish(ci, c)
+			ci, c = ci+1, nil
 		}
 	}
-	for c := int32(0); c < int32(ncpu); c++ {
-		flush(c)
+	if c != nil {
+		p.hand.publish(ci, c)
 	}
-	join()
-	if readErr != nil {
-		return nil, readErr
-	}
-	r.Incomplete = truncated
+	return nil
+}
 
-	if any {
-		r.Seconds = float64(lastTS-firstTS) / 1e9
+// appPIDs returns the application pids of the process table after the
+// events. A budget cap leaves undecoded events ahead of the table; they
+// are skipped unparsed so classification still works.
+func (s streamSource) appPIDs() (map[int64]bool, error) {
+	if err := s.d.Skip(); err != nil {
+		return nil, err
 	}
-	if opts.ToNS > opts.FromNS && (opts.FromNS != 0 || opts.ToNS != 0) {
-		r.Seconds = float64(opts.ToNS-opts.FromNS) / 1e9
+	procs, err := s.d.Procs()
+	if err != nil {
+		return nil, err
 	}
-	appPIDs := opts.AppPIDs
-	if appPIDs == nil {
-		// A budget cap leaves undecoded events ahead of the process
-		// table; skip them unparsed so classification still works.
-		if err := d.Skip(); err != nil {
-			return nil, err
-		}
-		procs, err := d.Procs()
-		if err != nil {
-			return nil, err
-		}
-		appPIDs = (&trace.Trace{Procs: procs}).AppPIDs()
-	}
-
-	r.Dropped += dropped
-	r.prealloc(walkers, ctl.switches, opts.KeepDurations)
-	windows, noiseIdx := r.replay(ctx, ctl, walkers, opts, appMatcher(appPIDs), shards)
-	if ctx.Err() != nil {
-		return r.markCancelled(&prog), cancelErr(ctx)
-	}
-	if err := r.finish(ctx, walkers, windows, noiseIdx, opts, shards); err != nil {
-		return r.markCancelled(&prog), cancelErr(ctx)
-	}
-	r.EventsConsumed = prog.events.Load()
-	return r, nil
+	return (&trace.Trace{Procs: procs}).AppPIDs(), nil
 }

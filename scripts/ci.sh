@@ -64,6 +64,12 @@ go run ./cmd/noisevet -only doccomment ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== benchmark module (perfbench)"
+# perfbench/ is its own Go module, so the root ./... never compiles it;
+# it calls the noise entry points and sets Options.Epochs, so a change
+# to internal/noise can break the benchmark without this step.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== corruption suite (trace fault injector, race-instrumented)"
 # The deterministic fault injector sweeps every mutation over every
 # encoding and feeds the result to every reader entry point; any panic
@@ -153,8 +159,9 @@ echo "== pipeline regression gate (1M events)"
 # Full-size run gated against the recorded performance trajectory: the
 # best parallel wall time may not regress more than 10% relative to the
 # last comparable entry (same GOMAXPROCS and event count) appended to
-# results/BENCH_pipeline.json. Incomparable histories gate nothing, so
-# a new machine shape passes and records its own baseline later. CI
+# results/BENCH_pipeline.json. Incomparable histories gate nothing and
+# the run says "no comparable baseline" instead of "passed", so a new
+# machine shape is visible until it records its own baseline. CI
 # never appends — the trajectory grows only by a deliberate
 # `noisebench -pipeline -pipeline-append results/BENCH_pipeline.json`.
 go run ./cmd/noisebench -pipeline -pipeline-events 1000000 -pipeline-reps 3 \
