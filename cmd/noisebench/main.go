@@ -133,7 +133,7 @@ func runExperiments(c *experiments.Context, exps string) (results []*experiments
 // trajectory's last comparable entry (gatePath/gatePct) — the gate runs
 // before the append, so a regressing run never records itself as the
 // new baseline.
-func runPipeline(events int, shardList string, seed uint64, reps, epochs int, jsonPath, appendPath, gatePath string, gatePct float64) {
+func runPipeline(events int, shardList string, seed uint64, reps int, jsonPath, appendPath, gatePath string, gatePct float64) {
 	var shards []int
 	for _, s := range strings.Split(shardList, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -142,7 +142,7 @@ func runPipeline(events int, shardList string, seed uint64, reps, epochs int, js
 		}
 		shards = append(shards, n)
 	}
-	b := experiments.RunPipelineBench(events, shards, seed, reps, epochs)
+	b := experiments.RunPipelineBench(events, shards, seed, reps)
 	fmt.Print(b.Render())
 	if !b.Identical {
 		log.Fatal("parallel analysis diverged from the sequential baseline")
@@ -187,7 +187,6 @@ func main() {
 		pipeEvents = flag.Int("pipeline-events", 1_000_000, "minimum trace size for -pipeline, in events")
 		pipeShards = flag.String("pipeline-shards", "1,2,4,8", "comma-separated shard counts for -pipeline")
 		pipeReps   = flag.Int("pipeline-reps", 3, "repetitions per -pipeline configuration (best wall kept)")
-		pipeEpochs = flag.Int("pipeline-epochs", 0, "replay epoch count for -pipeline (0 = auto, 1 = sequential replay)")
 		pipeAppend = flag.String("pipeline-append", "", "append the -pipeline result to this trajectory file (e.g. results/BENCH_pipeline.json)")
 		pipeGate   = flag.String("pipeline-gate", "", "fail if the -pipeline result regresses vs the last comparable entry in this trajectory file")
 		pipeGateP  = flag.Float64("pipeline-gate-pct", 10, "regression budget for -pipeline-gate, in percent")
@@ -236,7 +235,7 @@ func main() {
 
 	runCtx := mkctx(*timeout)
 	if *pipeline {
-		runPipeline(*pipeEvents, *pipeShards, *seed, *pipeReps, *pipeEpochs, *jsonOut, *pipeAppend, *pipeGate, *pipeGateP)
+		runPipeline(*pipeEvents, *pipeShards, *seed, *pipeReps, *jsonOut, *pipeAppend, *pipeGate, *pipeGateP)
 		return
 	}
 	if *faults {

@@ -67,7 +67,6 @@ func main() {
 		jsonOut   = flag.String("json", "", "write the analysis summary as JSON here")
 		compare   = flag.String("compare", "", "second trace: print a before/after noise diff")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "decode+analysis shards (1 = sequential)")
-		epochs    = flag.Int("epochs", 0, "replay epochs for -parallel > 1 (0 = auto, 1 = sequential replay; identical report either way)")
 		timeout   = flag.Duration("timeout", 0, "cancel the run after this duration (exit code 3)")
 		budget    = flag.String("budget", "", "resource caps: events=N,bytes=N,interruptions=N")
 	)
@@ -100,7 +99,6 @@ func main() {
 	opts.FromNS = *fromNS
 	opts.ToNS = *toNS
 	opts.Budget = bud
-	opts.Epochs = *epochs
 	rep, err := analyze(ctx, tr, opts, *parallel)
 	if err != nil {
 		if rep != nil {

@@ -176,14 +176,26 @@ func (n *Native) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// readHeaderLine reads the greeting line and returns the tenant ID.
+// readHeaderLine reads the greeting line and returns the tenant ID. It
+// looks for the newline within the first maxHeaderLine bytes before
+// reading the line, so a client that sends more without one is answered
+// at once instead of being buffered until the idle deadline.
 func readHeaderLine(br *bufio.Reader) (string, error) {
+	for n := 1; ; n++ {
+		b, err := br.Peek(n)
+		if err != nil {
+			return "", protoErrf("reading header: %w", err)
+		}
+		if b[n-1] == '\n' {
+			break
+		}
+		if n == maxHeaderLine {
+			return "", protoErrf("header line too long")
+		}
+	}
 	line, err := br.ReadString('\n')
 	if err != nil {
 		return "", protoErrf("reading header: %w", err)
-	}
-	if len(line) > maxHeaderLine {
-		return "", protoErrf("header line too long")
 	}
 	line = line[:len(line)-1] // trailing \n
 	if len(line) > 0 && line[len(line)-1] == '\r' {

@@ -162,6 +162,26 @@ func TestNativeProtocolErrors(t *testing.T) {
 			t.Fatalf("bad greeting answer %q", line)
 		}
 	})
+	t.Run("greeting-too-long", func(t *testing.T) {
+		// Far past maxHeaderLine, with no newline and no close: the
+		// server must answer once the greeting outgrows its bound, not
+		// wait for the idle deadline.
+		c, shutdown := dialNative(t, rt)
+		defer shutdown()
+		if _, err := c.Write(bytes.Repeat([]byte("a"), 4096)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		line, err := bufio.NewReader(c).ReadString('\n')
+		if err != nil {
+			t.Fatalf("no answer to an over-long greeting: %v", err)
+		}
+		if !strings.HasPrefix(line, "ERR proto ") || !strings.Contains(line, "header line too long") {
+			t.Fatalf("over-long greeting answer %q", line)
+		}
+	})
 	t.Run("frame-too-big", func(t *testing.T) {
 		c, shutdown := dialNative(t, rt)
 		defer shutdown()

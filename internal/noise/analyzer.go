@@ -42,12 +42,11 @@ type Options struct {
 	// reservoir-samples the retained detail records. See Budget.
 	Budget Budget
 
-	// Epochs splits the parallel pipeline's replay phase into this many
-	// concurrently replayed time-epochs with stitched boundaries (see
-	// epoch.go). 1 forces the single sequential pass; 0 picks an epoch
-	// count automatically from the shard count and available cores. The
-	// report is bit-identical at every setting — epochs trade replay
-	// latency, never accuracy. Ignored by the sequential Analyze.
+	// Epochs is ignored: the parallel pipeline's replay is always one
+	// sequential pass.
+	//
+	// Deprecated: the field remains only so existing callers that set it
+	// still compile.
 	Epochs int
 }
 
@@ -301,11 +300,10 @@ func (r *Report) noiseByCPU() ([][]Span, []int32) {
 // concatenates in CPU order, reproducing the sequential output exactly.
 //
 // The sort must be STABLE: two spans sharing both start and end (same-
-// timestamp boundaries, which epoch stitching makes common) keep their
-// record order, the contract the parallel path reproduces with an
-// explicit record-index tie-break (keyCmpTotal). An unstable sort here
-// would order tied components arbitrarily and the two paths could
-// diverge.
+// timestamp boundaries) keep their record order, the contract the
+// parallel path reproduces with an explicit record-index tie-break
+// (keyCmpTotal). An unstable sort here would order tied components
+// arbitrarily and the two paths could diverge.
 func interruptionsForCPU(cpu int32, spans []Span, gap int64) []Interruption {
 	sort.SliceStable(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {

@@ -8,9 +8,8 @@
 // tracepoints with exact nested-time attribution — shards across CPUs
 // with no approximation. What does NOT shard is the scheduler state:
 // preemption windows follow a task when it migrates between CPUs, so
-// owner/window tracking is replayed over the scheduler events alone —
-// sequentially, or split into time-epochs stitched at their boundaries
-// (epoch.go).
+// owner/window tracking is replayed over the scheduler events alone,
+// in one sequential pass (replay.go).
 //
 // AnalyzeParallel, AnalyzeRaw and AnalyzeStream are thin wrappers over
 // one pipeline; they differ only in their source — how events reach it:
@@ -29,11 +28,9 @@
 //     stream order as the chunks are published — stack nesting,
 //     wall/own attribution — recycling each segment once walked;
 //  3. replay: the chunks' control-stream pieces are stitched and
-//     walked, applying the scheduler/owner/preemption-window state
+//     walked once, applying the scheduler/owner/preemption-window state
 //     machine and feeding every finished span through Report.record in
-//     exactly the order the sequential analyzer would have — in one
-//     pass, or epoch-split with boundary stitching (epoch.go) when
-//     opts.Epochs allows.
+//     exactly the order the sequential analyzer would have.
 //
 // Because phase 3 performs the same accumulator calls in the same order
 // as Analyze, the resulting Report is bit-identical to the sequential
@@ -606,7 +603,7 @@ func runPipeline(ctx context.Context, src source, opts Options, shards int) (*Re
 		r.Seconds = float64(opts.ToNS-opts.FromNS) / 1e9
 	}
 	r.prealloc(walkers, ctl.switches, opts.KeepDurations)
-	windows, noiseIdx := r.replay(ctx, ctl, walkers, opts, appMatcher(appPIDs), p.shards)
+	windows, noiseIdx := r.replay(ctx, &ctl, walkers, &opts, appMatcher(appPIDs))
 	if ctx.Err() != nil {
 		return r.markCancelled(&p.prog), cancelErr(ctx)
 	}
@@ -939,8 +936,7 @@ func (r *Report) finish(ctx context.Context, walkers []cpuWalker, windows map[in
 // The report it produces is bit-identical to Analyze's on the same
 // trace and options — budgets included: per-CPU span reconstruction is
 // exact (nesting never crosses a CPU) and the final accumulation
-// replays in sequential order (epoch-split when opts.Epochs allows; see
-// epoch.go — the result is bit-identical either way).
+// replays in sequential order (see replay.go).
 //
 // Cancelling ctx stops the run at the next batch boundary with no
 // leaked goroutines; the partial Report (marked Incomplete, with

@@ -178,8 +178,9 @@ func TestRawMatchesSequential(t *testing.T) {
 }
 
 // TestParallelHandmade exercises the tricky cross-CPU scheduler cases on
-// a hand-built trace: migration of a preempted task, out-of-range CPUs,
-// unmatched exits, and process exit closing a window.
+// a hand-built trace — migration of a preempted task, out-of-range CPUs,
+// unmatched exits, and process exit closing a window — across the
+// shard × path matrix.
 func TestParallelHandmade(t *testing.T) {
 	tr := handTrace(2,
 		appRunning(0, 0, 42),
@@ -203,28 +204,7 @@ func TestParallelHandmade(t *testing.T) {
 		// Leftover open span at the boundary.
 		trace.Event{TS: 990, CPU: 0, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
 	)
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
 	for name, opts := range optionVariants() {
-		want := noise.Analyze(tr, opts)
-		for _, shards := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/shards%d", name, shards), func(t *testing.T) {
-				got, err := noise.AnalyzeParallel(context.Background(), tr, opts, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareReports(t, want, got)
-			})
-			t.Run(fmt.Sprintf("%s/shards%d/raw", name, shards), func(t *testing.T) {
-				got, err := noise.AnalyzeRaw(context.Background(), bytes.NewReader(raw), int64(len(raw)), opts, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareReports(t, want, got)
-			})
-		}
+		t.Run(name, func(t *testing.T) { shardPathMatrix(t, tr, opts) })
 	}
 }

@@ -148,12 +148,12 @@ rm -rf "$smokedir"
 
 echo "== pipeline benchmark smoke"
 # A small-trace run of the analysis-pipeline benchmark: exercises the
-# sequential baseline, the sharded raw path at each shard count, the
-# epoch-split replay, and the bit-identity check (the run aborts if any
-# report diverges). The JSON lands in a scratch file — committed
-# baselines in results/ are regenerated deliberately, not by CI.
+# sequential baseline, the sharded raw path at each shard count, and
+# the bit-identity check (the run aborts if any report diverges). The
+# JSON lands in a scratch file — committed baselines in results/ are
+# regenerated deliberately, not by CI.
 go run ./cmd/noisebench -pipeline -pipeline-events 100000 -pipeline-reps 1 \
-    -pipeline-epochs 4 -json "$(mktemp -d)/BENCH_pipeline.json"
+    -json "$(mktemp -d)/BENCH_pipeline.json"
 
 echo "== pipeline regression gate (1M events)"
 # Full-size run gated against the recorded performance trajectory: the
