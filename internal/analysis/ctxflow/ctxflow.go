@@ -12,9 +12,9 @@
 // function makes that visible.
 //
 // From the configured entry-point roots (AnalyzeParallel, AnalyzeRaw,
-// AnalyzeStream, ReadParallel, cluster.Run), the analyzer computes the
-// set of functions reachable over static calls, goroutine spawns,
-// defers, and closures. Inside that set it reports:
+// AnalyzeStream, SummarizeStream, ReadParallel, cluster.Run), the
+// analyzer computes the set of functions reachable over static calls,
+// goroutine spawns, defers, and closures. Inside that set it reports:
 //
 //   - a function that accepts a context.Context and contains a loop
 //     but neither observes cancellation itself (ctx.Err, ctx.Done)

@@ -138,6 +138,7 @@ var CtxFlowConfig = ctxflow.Config{
 	Roots: []string{
 		"osnoise/internal/noise.AnalyzeParallel",
 		"osnoise/internal/noise.AnalyzeStream",
+		"osnoise/internal/noise.SummarizeStream",
 		"osnoise/internal/noise.AnalyzeRaw",
 		"osnoise/internal/trace.ReadParallel",
 		"osnoise/internal/cluster.Run",

@@ -10,12 +10,15 @@
 package receiver
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"osnoise/internal/daemon/router"
@@ -85,6 +88,44 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// decoderPool recycles the HTTP receiver's decoders (*pooledDecoder)
+// across requests: each holds a 64 KiB read buffer and a 20 KiB staging
+// buffer that a fresh trace.NewDecoder would allocate per request.
+var decoderPool = sync.Pool{New: func() any {
+	return &pooledDecoder{br: bufio.NewReaderSize(nil, 1<<16)}
+}}
+
+// pooledDecoder is a reusable decoder with the buffered reader it
+// reads through; the handler rebinds the reader to each request body.
+type pooledDecoder struct {
+	br *bufio.Reader
+	d  *trace.Decoder
+}
+
+// reset re-arms the decoder on body and validates the trace header.
+func (p *pooledDecoder) reset(body io.Reader) (*trace.Decoder, error) {
+	p.br.Reset(body)
+	if p.d == nil {
+		d, err := trace.NewDecoder(p.br)
+		if err != nil {
+			return nil, err
+		}
+		p.d = d
+		return d, nil
+	}
+	if err := p.d.Reset(p.br); err != nil {
+		return nil, err
+	}
+	return p.d, nil
+}
+
+// release unbinds the finished request's body, so a pooled decoder
+// never keeps it reachable, and returns the decoder to the pool.
+func (p *pooledDecoder) release() {
+	p.br.Reset(nil)
+	decoderPool.Put(p)
+}
+
 // IngestHandler serves POST /v1/ingest?tenant=<id>: the request body is
 // one LTTNOISE trace (raw or compressed), analysed synchronously; the
 // answer is the stream's Result as JSON.
@@ -99,7 +140,9 @@ func IngestHandler(ing Ingestor) http.Handler {
 			writeJSON(w, http.StatusBadRequest, ingestResponse{Error: "missing or malformed tenant parameter"})
 			return
 		}
-		d, err := trace.NewDecoder(r.Body)
+		pd := decoderPool.Get().(*pooledDecoder)
+		defer pd.release()
+		d, err := pd.reset(r.Body)
 		if err != nil {
 			writeJSON(w, statusOf(err), ingestResponse{Result: router.Result{Tenant: id}, Error: err.Error()})
 			return

@@ -366,6 +366,47 @@ func TestHTTPIngest(t *testing.T) {
 	}
 }
 
+// TestHTTPIngestDecoderReuse posts corrupt and valid traces in turn to
+// one handler, which reuses pooled decoders across requests: a request
+// after a failed one must still get its own trace's answer, never a
+// leftover of the previous body.
+func TestHTTPIngestDecoderReuse(t *testing.T) {
+	rt := newRouter()
+	defer func() { _ = rt.Close(context.Background()) }()
+	h := receiver.IngestHandler(rt)
+
+	tr := daemontest.Trace(3)
+	raw := daemontest.Encode(tr)
+	opts := noise.DefaultOptions()
+	opts.KeepDurations = false
+	rep := noise.Analyze(tr, opts)
+
+	for _, step := range []struct {
+		name string
+		body []byte
+		code int
+	}{
+		{"bad-magic", []byte("this is not a trace at all, not even close"), http.StatusBadRequest},
+		{"valid", raw, http.StatusOK},
+		{"truncated", raw[:len(raw)/2], http.StatusBadRequest},
+		{"valid-again", raw, http.StatusOK},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/ingest?tenant=acme", bytes.NewReader(step.body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		var res router.Result
+		if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if w.Code != step.code {
+			t.Fatalf("%s: status %d, want %d: %s", step.name, w.Code, step.code, w.Body.Bytes())
+		}
+		if step.code == http.StatusOK && (res.Events != rep.EventsConsumed || res.NoiseNS != rep.TotalNoiseNS) {
+			t.Fatalf("%s: result %+v, want events=%d noise=%d", step.name, res, rep.EventsConsumed, rep.TotalNoiseNS)
+		}
+	}
+}
+
 // TestValidTenant pins the tenant-identifier grammar both transports
 // share.
 func TestValidTenant(t *testing.T) {

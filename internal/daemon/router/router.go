@@ -109,10 +109,6 @@ func New(cfg Config, sinks ...sink.Sink) *Router {
 	if cfg.TenantOptions.GapNS == 0 && !cfg.TenantOptions.AttributeNesting && !cfg.TenantOptions.RunnableFilter {
 		cfg.TenantOptions = noise.DefaultOptions()
 	}
-	// Interruption detail is per-stream state the daemon aggregates
-	// away; keeping full durations per stream would make memory scale
-	// with trace size across thousands of tenants.
-	cfg.TenantOptions.KeepDurations = false
 	if cfg.WindowBuckets < 1 {
 		cfg.WindowBuckets = 6
 	}
@@ -200,25 +196,21 @@ func (rt *Router) Ingest(ctx context.Context, tenantID string, d *trace.Decoder)
 	if degraded {
 		sample = rt.cfg.SampleEvents
 	}
-	rep, err := s.Ingest(ctx, d, sample)
+	sum, err := s.Ingest(ctx, d, sample)
 	rt.streams.Add(1)
 	res.Evicted = s.Evicted()
+	res.Events = sum.EventsConsumed
+	res.Incomplete = sum.Incomplete > 0
 	if err != nil {
 		rt.failed.Add(1)
-		if rep != nil {
-			res.Events = rep.EventsConsumed
-			res.Incomplete = rep.Incomplete
-		}
 		return res, err
 	}
 	if degraded {
 		rt.sampled.Add(1)
 		res.Sampled = true
 	}
-	res.Events = rep.EventsConsumed
-	res.NoiseNS = rep.TotalNoiseNS
-	res.Seconds = rep.Seconds
-	res.Incomplete = rep.Incomplete
+	res.NoiseNS = sum.TotalNoiseNS
+	res.Seconds = sum.Seconds
 	return res, nil
 }
 

@@ -2,17 +2,18 @@
 //
 // A Session owns everything the daemon keeps for a tenant: the analysis
 // options, a lifetime ingest budget, a rolling noise window, and the
-// stream counters the sinks export. Ingest runs one streaming analysis
-// (noise.AnalyzeStream) under the remaining lifetime budget, so a
-// tenant that exhausts its cap degrades and is then evicted without
-// disturbing any other tenant — isolation is per-Session state plus a
-// per-Session context, never shared analysis structures.
+// stream counters the sinks export. Ingest runs one summary-only
+// streaming analysis (noise.SummarizeStream) under the remaining
+// lifetime budget, so a tenant that exhausts its cap degrades and is
+// then evicted without disturbing any other tenant — isolation is
+// per-Session state plus a per-Session context, never shared analysis
+// structures.
 //
 // Determinism contract: with no budget pressure and no overload
-// sampling, the Report a Session folds into its window is the same
-// Report the batch analyzer would produce for the same events, so a
-// single-stream window is bit-identical to batch noise.Analyze (the
-// property internal/noise/window.go locks down).
+// sampling, the summary a Session folds into its window is the one
+// WindowSummary.AddReport folds from the batch analyzer's Report for
+// the same events, so a single-stream window is bit-identical to batch
+// noise.Analyze (the property internal/noise/window.go locks down).
 package tenant
 
 import (
@@ -38,10 +39,11 @@ type Config struct {
 	// field bounds a single stream; the lifetime cap below is separate.
 	Options noise.Options
 	// Budget caps the tenant's lifetime event intake (MaxEvents and
-	// MaxBytes fold into one record count; MaxInterruptions bounds
-	// retained detail per stream). The zero value means unlimited.
+	// MaxBytes fold into one record count; a stream with more than
+	// MaxInterruptions interruptions counts as Sampled in the window).
+	// The zero value means unlimited.
 	Budget noise.Budget
-	// Shards is the parallelism handed to noise.AnalyzeStream.
+	// Shards is the parallelism handed to noise.SummarizeStream.
 	Shards int
 	// WindowBuckets is the rolling window width in flush intervals.
 	WindowBuckets int
@@ -189,21 +191,21 @@ func (s *Session) streamBudget(sampleEvents uint64) (noise.Budget, bool) {
 	return b, true
 }
 
-// Ingest runs one streaming analysis over d and folds the resulting
-// Report into the rolling window. ctx bounds this stream only; the
-// session context bounds the tenant (eviction and daemon shutdown
-// cancel it). sampleEvents > 0 degrades the stream to a sampled prefix
-// of that many events — the router's overload escape valve. The
-// returned Report is the caller's to inspect; the window keeps its own
-// aggregates.
-func (s *Session) Ingest(ctx context.Context, d *trace.Decoder, sampleEvents uint64) (*noise.Report, error) {
+// Ingest runs one summary-only streaming analysis over d and merges
+// the stream's summary into the rolling window. ctx bounds this stream
+// only; the session context bounds the tenant (eviction and daemon
+// shutdown cancel it). sampleEvents > 0 degrades the stream to a
+// sampled prefix of that many events — the router's overload escape
+// valve. The returned summary covers this stream alone; on a cancelled
+// analysis it is the partial one noise.SummarizeStream returns.
+func (s *Session) Ingest(ctx context.Context, d *trace.Decoder, sampleEvents uint64) (noise.WindowSummary, error) {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 
 	budget, ok := s.streamBudget(sampleEvents)
 	if !ok {
 		s.cancel()
-		return nil, fmt.Errorf("%w: tenant %s", ErrEvicted, s.id)
+		return noise.WindowSummary{}, fmt.Errorf("%w: tenant %s", ErrEvicted, s.id)
 	}
 	// A closed or daemon-cancelled session refuses deterministically
 	// rather than racing AfterFunc against a short analysis.
@@ -212,7 +214,7 @@ func (s *Session) Ingest(ctx context.Context, d *trace.Decoder, sampleEvents uin
 		s.streams++
 		s.errors++
 		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: tenant %s: %w", noise.ErrCancelled, s.id, err)
+		return noise.WindowSummary{}, fmt.Errorf("%w: tenant %s: %w", noise.ErrCancelled, s.id, err)
 	}
 
 	// Tie the stream context to the session context without leaking a
@@ -225,26 +227,26 @@ func (s *Session) Ingest(ctx context.Context, d *trace.Decoder, sampleEvents uin
 
 	opts := s.opts
 	opts.Budget = budget
-	rep, err := noise.AnalyzeStream(ictx, d, opts, s.shards)
+	sum, err := noise.SummarizeStream(ictx, d, opts, s.shards)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.streams++
 	if err != nil {
 		s.errors++
-		return rep, err
+		return sum, err
 	}
 	if sampleEvents > 0 {
 		s.sampled++
 	}
-	s.consumed += rep.EventsConsumed
-	s.window.Add(rep)
-	s.streamEvents.Add(int64(rep.EventsConsumed))
+	s.consumed += sum.EventsConsumed
+	s.window.Add(&sum)
+	s.streamEvents.Add(int64(sum.EventsConsumed))
 	if s.cap != ^uint64(0) && s.consumed >= s.cap {
 		s.evicted = true
 		s.cancel()
 	}
-	return rep, nil
+	return sum, nil
 }
 
 // snapshotLocked builds a Status; callers hold mu.

@@ -14,8 +14,9 @@ import (
 	"osnoise/internal/trace"
 )
 
-// ingest streams one encoded trace into the session.
-func ingest(t *testing.T, s *tenant.Session, raw []byte, sample uint64) (*noise.Report, error) {
+// ingest streams one encoded trace into the session and returns the
+// stream's summary.
+func ingest(t *testing.T, s *tenant.Session, raw []byte, sample uint64) (noise.WindowSummary, error) {
 	t.Helper()
 	d, err := trace.NewDecoder(bytes.NewReader(raw))
 	if err != nil {
@@ -65,17 +66,17 @@ func TestSessionLifetimeBudgetEvicts(t *testing.T) {
 		Budget:  noise.Budget{MaxEvents: full + full/2}, // 1.5 traces
 	})
 
-	rep, err := ingest(t, s, raw, 0)
-	if err != nil || rep.Incomplete {
-		t.Fatalf("first stream under budget: err=%v incomplete=%v", err, rep.Incomplete)
+	sum, err := ingest(t, s, raw, 0)
+	if err != nil || sum.Incomplete != 0 {
+		t.Fatalf("first stream under budget: err=%v incomplete=%d", err, sum.Incomplete)
 	}
-	rep, err = ingest(t, s, raw, 0)
+	sum, err = ingest(t, s, raw, 0)
 	if err != nil {
 		t.Fatalf("second stream errored instead of degrading: %v", err)
 	}
-	if !rep.Incomplete || rep.EventsConsumed != full/2 {
-		t.Fatalf("second stream: incomplete=%v consumed=%d, want truncation to %d",
-			rep.Incomplete, rep.EventsConsumed, full/2)
+	if sum.Incomplete != 1 || sum.EventsConsumed != full/2 {
+		t.Fatalf("second stream: incomplete=%d consumed=%d, want truncation to %d",
+			sum.Incomplete, sum.EventsConsumed, full/2)
 	}
 	if !s.Evicted() {
 		t.Fatal("session not evicted after exhausting its lifetime budget")
@@ -144,13 +145,13 @@ func TestSessionSampleCap(t *testing.T) {
 	tr := daemontest.Trace(2)
 	s := tenant.New(context.Background(), tenant.Config{ID: "a", Options: daemonOptions()})
 	cap := uint64(len(tr.Events)) / 3
-	rep, err := ingest(t, s, daemontest.Encode(tr), cap)
+	sum, err := ingest(t, s, daemontest.Encode(tr), cap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Incomplete || rep.EventsConsumed != cap {
-		t.Fatalf("sampled stream consumed %d (incomplete=%v), want cap %d",
-			rep.EventsConsumed, rep.Incomplete, cap)
+	if sum.Incomplete != 1 || sum.EventsConsumed != cap {
+		t.Fatalf("sampled stream consumed %d (incomplete=%d), want cap %d",
+			sum.EventsConsumed, sum.Incomplete, cap)
 	}
 	if st := s.Status(); st.Sampled != 1 {
 		t.Fatalf("sampled counter = %d, want 1", st.Sampled)

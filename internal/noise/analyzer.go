@@ -252,24 +252,34 @@ func Analyze(tr *trace.Trace, opts Options) *Report {
 	return r
 }
 
-// record accumulates one finished span into the report: per-key summary
-// (and raw duration when keep is set), the noise breakdown, and the
-// global span list. Both the sequential and the parallel analyzers feed
-// every span through this single method, in the same global order, which
-// is what makes their reports bit-identical (floating-point accumulation
-// is order-sensitive).
+// record accumulates one finished span into the report and appends it
+// to the global span list. The sequential analyzer feeds every span
+// through it; the parallel replay (reportSink.emit) takes the same two
+// steps in the same global order, which is what makes their reports
+// bit-identical (floating-point accumulation is order-sensitive).
 func (r *Report) record(s Span, keep bool) {
-	ks := r.PerKey[s.Key]
-	ks.Summary.Add(s.Own)
-	if keep {
-		ks.Durations = append(ks.Durations, s.Own)
-	}
-	if s.Noise {
-		cat := CategoryOf(s.Key)
-		r.Breakdown[cat] += s.Own
-		r.TotalNoiseNS += s.Own
-	}
+	r.accumulate(s.Key, s.Own, s.Noise, keep)
 	r.Spans = append(r.Spans, s)
+}
+
+// accumulate folds one finished span — its key, own time and noise
+// flag — into the report's aggregates: per-key summary (and raw
+// duration when keep is set) and the noise breakdown. The summary-only
+// pipeline calls it alone, in the same order, so its aggregates match
+// the full report's. It takes the three fields, not the Span, so the
+// per-span call passes its arguments in registers.
+//
+//noisevet:hotpath
+func (r *Report) accumulate(k Key, own int64, noise, keep bool) {
+	ks := r.PerKey[k]
+	ks.Summary.Add(own)
+	if keep {
+		ks.Durations = append(ks.Durations, own)
+	}
+	if noise {
+		r.Breakdown[CategoryOf(k)] += own
+		r.TotalNoiseNS += own
+	}
 }
 
 // noiseByCPU groups the report's noise spans per CPU, indexed by CPU id

@@ -17,8 +17,9 @@ import (
 )
 
 // runAllPaths analyses the same trace through every entry point and
-// asserts the four reports are bit-identical, returning the sequential
-// one.
+// asserts the four reports are bit-identical, and SummarizeStream's
+// summary equal to the sequential report's, returning the sequential
+// report.
 func runAllPaths(t *testing.T, tr *trace.Trace, opts noise.Options, shards int) *noise.Report {
 	t.Helper()
 	var buf bytes.Buffer
@@ -51,6 +52,18 @@ func runAllPaths(t *testing.T, tr *trace.Trace, opts noise.Options, shards int) 
 		t.Fatalf("AnalyzeRaw: %v", err)
 	}
 	compareReports(t, want, rr)
+
+	var wantSum noise.WindowSummary
+	wantSum.AddReport(want)
+	d, err = trace.NewDecoder(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := noise.SummarizeStream(ctx, d, opts, shards)
+	if err != nil {
+		t.Fatalf("SummarizeStream: %v", err)
+	}
+	summariesEqual(t, "SummarizeStream", wantSum, sum)
 
 	for name, got := range map[string]*noise.Report{"parallel": par, "stream": str, "raw": rr} {
 		if got.Incomplete != want.Incomplete ||
@@ -236,4 +249,15 @@ func TestRoutingThresholdFallback(t *testing.T) {
 		t.Error("AnalyzeStream past the threshold differs from Analyze under MaxEvents = threshold")
 		compareReports(t, wantPrefix, str)
 	}
+
+	var wantSum noise.WindowSummary
+	wantSum.AddReport(wantPrefix)
+	if d, err = trace.NewDecoder(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := noise.SummarizeStream(ctx, d, opts, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summariesEqual(t, "SummarizeStream past the threshold", wantSum, sum)
 }

@@ -53,6 +53,19 @@ func assertCancelled(t *testing.T, entry string, r *noise.Report, err error) {
 	}
 }
 
+// assertSummaryCancelled checks the same contract for SummarizeStream:
+// the typed error with a partial summary counting one Incomplete
+// stream.
+func assertSummaryCancelled(t *testing.T, sum noise.WindowSummary, err error) {
+	t.Helper()
+	if !errors.Is(err, noise.ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("SummarizeStream: err %v does not wrap noise.ErrCancelled and context.Canceled", err)
+	}
+	if sum.Reports != 1 || sum.Incomplete != 1 {
+		t.Fatalf("SummarizeStream: cancelled summary has Reports=%d Incomplete=%d, want 1/1", sum.Reports, sum.Incomplete)
+	}
+}
+
 // TestCancelledEntryPoints cancels every parallel entry point before it
 // starts: each must return the typed error with a partial report and
 // join all its workers.
@@ -83,6 +96,12 @@ func TestCancelledEntryPoints(t *testing.T) {
 
 			r, err = noise.AnalyzeRaw(ctx, bytes.NewReader(raw), int64(len(raw)), opts, shards)
 			assertCancelled(t, "AnalyzeRaw", r, err)
+
+			if d, derr = trace.NewDecoder(bytes.NewReader(raw)); derr != nil {
+				t.Fatal(derr)
+			}
+			sum, err := noise.SummarizeStream(ctx, d, opts, shards)
+			assertSummaryCancelled(t, sum, err)
 		})
 	}
 	checkNoLeak(t, baseline)
@@ -145,6 +164,28 @@ func TestCancelMidRun(t *testing.T) {
 					compareReports(t, want, r)
 				})
 			}
+		}
+	}
+	var wantSum noise.WindowSummary
+	wantSum.AddReport(want)
+	for _, shards := range []int{1, 3, 8} {
+		for _, delay := range []time.Duration{0, 50 * time.Microsecond, 500 * time.Microsecond} {
+			t.Run(fmt.Sprintf("SummarizeStream/shards%d/delay%v", shards, delay), func(t *testing.T) {
+				d, err := trace.NewDecoder(bytes.NewReader(raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				timer := time.AfterFunc(delay, cancel)
+				sum, err := noise.SummarizeStream(ctx, d, opts, shards)
+				timer.Stop()
+				cancel()
+				if err != nil {
+					assertSummaryCancelled(t, sum, err)
+					return
+				}
+				summariesEqual(t, "completed SummarizeStream", wantSum, sum)
+			})
 		}
 	}
 	checkNoLeak(t, baseline)

@@ -36,7 +36,9 @@
 // as Analyze, the resulting Report is bit-identical to the sequential
 // one — including the order-sensitive floating-point summary fields.
 // TestParallelMatchesSequential and TestEpochsMatchSequential lock this
-// invariant.
+// invariant. SummarizeStream runs the stream source in summary mode,
+// which makes the same accumulator calls but keeps no spans and only
+// counts the interruptions.
 //
 // The walkers also pre-count spans per key, so the replay appends into
 // exactly-sized slices — the sequential analyzer cannot know those
@@ -148,10 +150,11 @@ func classOf(id trace.ID) uint8 {
 // per run; see getSlice/putSlice.
 var (
 	cevPool   sync.Pool // *[]cev: per-chunk per-CPU segments
-	exitPool  sync.Pool // *[]int32: per-chunk exit-CPU lists
+	exitPool  sync.Pool // *[]int32: exit-CPU lists, per chunk and stitched
 	spanPool  sync.Pool // *[]spanRec: per-CPU walker span lists
 	arenaPool sync.Pool // *[]trace.Event: decode arenas
-	schedPool sync.Pool // *[]schedRec: per-chunk control-stream pieces
+	schedPool sync.Pool // *[]schedRec: control-stream pieces and stitched streams
+	ispanPool sync.Pool // *[]ispanKey: per-CPU noise-span indexes
 )
 
 // getSlice returns an empty slice with at least the requested capacity,
@@ -545,11 +548,18 @@ type rereader interface {
 	sequential(ctx context.Context, opts Options, shards int) (*Report, error)
 }
 
-// runPipeline is the one sharded analysis behind the three entry
-// points: the shared prologue (event cap, overflow guard, report
-// header), the source's producers overlapped with the walker pool, and
-// the shared tail — stitch, prealloc, replay, finish.
-func runPipeline(ctx context.Context, src source, opts Options, shards int) (*Report, error) {
+// runPipeline is the one sharded analysis behind the entry points: the
+// shared prologue (event cap, overflow guard, report header), the
+// source's producers overlapped with the walker pool, and the shared
+// tail — stitch, prealloc, replay, finish.
+//
+// With summary set (SummarizeStream) the tail keeps only what a
+// WindowSummary needs: no prealloc, the replay accumulates without
+// keeping Spans or Durations, and the interruption build stops at the
+// count — left in InterruptionsTotal, with InterruptionsSampled set
+// when it exceeds the budget's cap. The replay order is the same, so
+// the aggregates are bit-identical to the full report's.
+func runPipeline(ctx context.Context, src source, opts Options, shards int, summary bool) (*Report, error) {
 	ncpu, total := src.shape()
 	p := &pipeline{opts: opts, ncpu: ncpu, shards: shards, chunks: 1}
 	if p.shards <= 0 {
@@ -602,16 +612,24 @@ func runPipeline(ctx context.Context, src source, opts Options, shards int) (*Re
 	if opts.ToNS > opts.FromNS && (opts.FromNS != 0 || opts.ToNS != 0) {
 		r.Seconds = float64(opts.ToNS-opts.FromNS) / 1e9
 	}
-	r.prealloc(walkers, ctl.switches, opts.KeepDurations)
-	windows, noiseIdx := r.replay(ctx, &ctl, walkers, &opts, appMatcher(appPIDs))
-	if ctx.Err() != nil {
-		return r.markCancelled(&p.prog), cancelErr(ctx)
+	if !summary {
+		r.prealloc(walkers, ctl.switches, opts.KeepDurations)
 	}
-	if err := r.finish(ctx, walkers, windows, noiseIdx, opts, p.shards); err != nil {
+	windows, noiseIdx := r.replay(ctx, &ctl, walkers, &opts, appMatcher(appPIDs), summary)
+	if ctx.Err() == nil {
+		err = r.finish(ctx, walkers, windows, noiseIdx, opts, p.shards, summary)
+	}
+	// The Report copies everything it keeps; nothing aliases the spans,
+	// the control stream or the noise index.
+	putSlice(&exitPool, ctl.exitCPU)
+	putSlice(&schedPool, ctl.sched)
+	for _, idx := range noiseIdx {
+		putSlice(&ispanPool, idx)
+	}
+	if ctx.Err() != nil || err != nil {
 		return r.markCancelled(&p.prog), cancelErr(ctx)
 	}
 	r.EventsConsumed = p.prog.events.Load()
-	// The Report copies everything it keeps; nothing aliases the spans.
 	for i := range walkers {
 		putSlice(&spanPool, walkers[i].spans)
 	}
@@ -623,7 +641,8 @@ func runPipeline(ctx context.Context, src source, opts Options, shards int) (*Re
 // exits of the chunks before it, and returns the pieces to their pools.
 // It also folds the chunks' drop counts into r, and their first and
 // last timestamps into r.Seconds — the span of the consumed records,
-// as Analyze reports it.
+// as Analyze reports it. The stream's own buffers come from the same
+// pools; the caller returns them once the replay and finish are done.
 func (r *Report) stitch(chunks []*chunk) ctlStream {
 	var ctl ctlStream
 	var first, last *chunk
@@ -643,8 +662,8 @@ func (r *Report) stitch(chunks []*chunk) ctlStream {
 	if first != nil {
 		r.Seconds = float64(last.lastTS-first.firstTS) / 1e9
 	}
-	ctl.exitCPU = make([]int32, 0, exitTotal)
-	ctl.sched = make([]schedRec, 0, schedTotal)
+	ctl.exitCPU = getSlice[int32](&exitPool, exitTotal)
+	ctl.sched = getSlice[schedRec](&schedPool, schedTotal)
 	for _, c := range chunks {
 		base := int32(len(ctl.exitCPU))
 		ctl.exitCPU = append(ctl.exitCPU, c.exitCPU...)
@@ -802,6 +821,8 @@ func sortInterruptionKeys(keys []ispanKey) {
 
 // countInterruptions dry-runs the gap merge over sorted keys and
 // returns how many interruptions it will produce.
+//
+//noisevet:hotpath
 func countInterruptions(keys []ispanKey, gap int64) int {
 	n, end := 0, int64(0)
 	for _, k := range keys {
@@ -848,19 +869,13 @@ func fillInterruptions(cpu int32, keys []ispanKey, gap int64, out []Interruption
 	out[n] = cur
 }
 
-// buildInterruptionsParallel is buildInterruptions with the per-CPU
-// grouping fanned out over a worker pool, in two phases: first every
-// CPU's keys are sorted and its interruption count dry-run in parallel,
-// then the full interruption list and one global component arena are
-// allocated once and the workers fill disjoint subranges in place.
-// CPUs are independent and their ranges concatenate in ascending CPU
-// order, so the output is identical to the sequential builder's: each
-// CPU's noise spans are gathered from r.Spans in record order, exactly
-// the sequence noiseByCPU produces.
-//
-// Workers check ctx at every CPU claim; on cancellation both pools are
-// still joined and the context's error is returned.
-func (r *Report) buildInterruptionsParallel(ctx context.Context, noiseIdx [][]ispanKey, gap int64, workers int) error {
+// countInterruptionsParallel is the first phase of the interruption
+// build, fanned out over a worker pool: every CPU's noise index is
+// sorted in place and its interruption count dry-run. It returns the
+// CPUs with noise, ascending, and their counts. Workers check ctx at
+// every CPU claim; on cancellation the pool is still joined and the
+// context's error is returned.
+func countInterruptionsParallel(ctx context.Context, noiseIdx [][]ispanKey, gap int64, workers int) ([]int32, []int, error) {
 	var cpuIDs []int32
 	for c := range noiseIdx {
 		if len(noiseIdx[c]) > 0 {
@@ -868,19 +883,31 @@ func (r *Report) buildInterruptionsParallel(ctx context.Context, noiseIdx [][]is
 		}
 	}
 	if len(cpuIDs) == 0 {
-		return ctx.Err()
+		return nil, nil, ctx.Err()
 	}
-
-	keysPer := make([][]ispanKey, len(cpuIDs))
 	counts := make([]int, len(cpuIDs))
 	parallelFor(ctx, len(cpuIDs), workers, func(i int) {
 		// The index was written in record order; sort it in place
 		// (nothing else reads it after this phase).
-		keysPer[i] = noiseIdx[cpuIDs[i]]
-		sortInterruptionKeys(keysPer[i])
-		counts[i] = countInterruptions(keysPer[i], gap)
+		keys := noiseIdx[cpuIDs[i]]
+		sortInterruptionKeys(keys)
+		counts[i] = countInterruptions(keys, gap)
 	})
-	if err := ctx.Err(); err != nil {
+	return cpuIDs, counts, ctx.Err()
+}
+
+// buildInterruptionsParallel is buildInterruptions with the per-CPU
+// grouping fanned out over a worker pool, in two phases: first
+// countInterruptionsParallel sorts and counts, then the full
+// interruption list and one global component arena are allocated once
+// and the workers fill disjoint subranges in place. CPUs are
+// independent and their ranges concatenate in ascending CPU order, so
+// the output is identical to the sequential builder's: each CPU's noise
+// spans are gathered from r.Spans in record order, exactly the sequence
+// noiseByCPU produces.
+func (r *Report) buildInterruptionsParallel(ctx context.Context, noiseIdx [][]ispanKey, gap int64, workers int) error {
+	cpuIDs, counts, err := countInterruptionsParallel(ctx, noiseIdx, gap, workers)
+	if err != nil || len(cpuIDs) == 0 {
 		return err
 	}
 
@@ -888,14 +915,14 @@ func (r *Report) buildInterruptionsParallel(ctx context.Context, noiseIdx [][]is
 	// and the component arena.
 	intOffs := make([]int, len(cpuIDs)+1)
 	keyOffs := make([]int, len(cpuIDs)+1)
-	for i := range cpuIDs {
+	for i, c := range cpuIDs {
 		intOffs[i+1] = intOffs[i] + counts[i]
-		keyOffs[i+1] = keyOffs[i] + len(keysPer[i])
+		keyOffs[i+1] = keyOffs[i] + len(noiseIdx[c])
 	}
 	r.Interruptions = make([]Interruption, intOffs[len(cpuIDs)])
 	comps := make([]Component, keyOffs[len(cpuIDs)])
 	parallelFor(ctx, len(cpuIDs), workers, func(i int) {
-		fillInterruptions(cpuIDs[i], keysPer[i], gap,
+		fillInterruptions(cpuIDs[i], noiseIdx[cpuIDs[i]], gap,
 			r.Interruptions[intOffs[i]:intOffs[i+1]],
 			comps[keyOffs[i]:keyOffs[i+1]])
 	})
@@ -917,18 +944,28 @@ func appMatcher(appPIDs map[int64]bool) func(int64) bool {
 }
 
 // finish shares the tail of the parallel paths: boundary-drop
-// accounting, interruption grouping, and the interruption budget. A
+// accounting, interruption grouping, and the interruption budget. With
+// summary set it only counts the interruptions (see runPipeline). A
 // non-nil error is the context's own (the caller wraps it).
-func (r *Report) finish(ctx context.Context, walkers []cpuWalker, windows map[int64]*window, noiseIdx [][]ispanKey, opts Options, shards int) error {
+func (r *Report) finish(ctx context.Context, walkers []cpuWalker, windows map[int64]*window, noiseIdx [][]ispanKey, opts Options, shards int, summary bool) error {
 	for i := range walkers {
 		r.Dropped += walkers[i].dropped + len(walkers[i].stack)
 	}
 	r.Dropped += len(windows)
-	if err := r.buildInterruptionsParallel(ctx, noiseIdx, opts.GapNS, shards); err != nil {
-		return err
+	if !summary {
+		if err := r.buildInterruptionsParallel(ctx, noiseIdx, opts.GapNS, shards); err != nil {
+			return err
+		}
+		r.applyInterruptionBudget(opts.Budget)
+		return nil
 	}
-	r.applyInterruptionBudget(opts.Budget)
-	return nil
+	_, counts, err := countInterruptionsParallel(ctx, noiseIdx, opts.GapNS, shards)
+	for _, n := range counts {
+		r.InterruptionsTotal += n
+	}
+	capN := opts.Budget.MaxInterruptions
+	r.InterruptionsSampled = capN > 0 && r.InterruptionsTotal > capN
+	return err
 }
 
 // AnalyzeParallel runs the full noise analysis sharded across per-CPU
@@ -943,7 +980,7 @@ func (r *Report) finish(ctx context.Context, walkers []cpuWalker, windows map[in
 // EventsConsumed/CPUsFinished) is returned together with an error
 // wrapping both ErrCancelled and ctx.Err().
 func AnalyzeParallel(ctx context.Context, tr *trace.Trace, opts Options, shards int) (*Report, error) {
-	return runPipeline(ctx, memSource{tr}, opts, shards)
+	return runPipeline(ctx, memSource{tr}, opts, shards, false)
 }
 
 // memSource feeds the pipeline from an in-memory trace.
@@ -998,7 +1035,7 @@ func AnalyzeRaw(ctx context.Context, ra io.ReaderAt, size int64, opts Options, s
 	if err != nil {
 		return nil, err
 	}
-	return runPipeline(ctx, rawSource{rt, ra, size}, opts, shards)
+	return runPipeline(ctx, rawSource{rt, ra, size}, opts, shards, false)
 }
 
 // rawSource feeds the pipeline from a fixed-format trace's raw bytes.
@@ -1073,7 +1110,27 @@ func (s rawSource) sequential(ctx context.Context, opts Options, shards int) (*R
 // error wrapping both ErrCancelled and ctx.Err(). An event/byte budget
 // stops decoding at the cap and degrades to a prefix-complete report.
 func AnalyzeStream(ctx context.Context, d *trace.Decoder, opts Options, shards int) (*Report, error) {
-	return runPipeline(ctx, streamSource{d}, opts, shards)
+	return runPipeline(ctx, streamSource{d}, opts, shards, false)
+}
+
+// SummarizeStream is AnalyzeStream for a caller that keeps only the
+// aggregates: it returns the WindowSummary that AddReport would fold
+// from AnalyzeStream's report, bit for bit, without building any Span,
+// retained duration or Interruption. The interruption count stays
+// exact, and Sampled is set when it exceeds Budget.MaxInterruptions,
+// as the budget would have sampled the full report's detail.
+//
+// Cancelling ctx returns the partial summary (Incomplete = 1, with the
+// EventsConsumed so far) together with an error wrapping both
+// ErrCancelled and ctx.Err(); any other failure returns a zero summary
+// with the error.
+func SummarizeStream(ctx context.Context, d *trace.Decoder, opts Options, shards int) (WindowSummary, error) {
+	var ws WindowSummary
+	r, err := runPipeline(ctx, streamSource{d}, opts, shards, true)
+	if r != nil {
+		ws.add(r, r.InterruptionsTotal)
+	}
+	return ws, err
 }
 
 // streamSource feeds the pipeline from a streaming decoder. It cannot

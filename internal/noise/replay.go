@@ -19,22 +19,32 @@ import (
 // reportSink records spans straight into the Report and builds the
 // per-CPU interruption index the interruption builder consumes: one
 // compact ispanKey per noise span, written in record order (the order
-// the tie-breaking comparator keyCmpTotal reproduces).
+// the tie-breaking comparator keyCmpTotal reproduces). On the summary
+// path it only accumulates: no Span or duration is kept.
 type reportSink struct {
 	r        *Report
-	keep     bool
+	keep     bool // retain durations (never on the summary path)
+	summary  bool
+	n        int32 // spans emitted so far: the next span's record index
 	noiseIdx [][]ispanKey
 }
 
-// emit accumulates one span and indexes it when it is noise.
+// emit accumulates one span, appends it unless summarising — the
+// full path's two steps are Report.record's, inlined by hand because
+// calling record here measured slower — and indexes it when it is
+// noise.
 func (k *reportSink) emit(s Span) {
-	k.r.record(s, k.keep)
+	k.r.accumulate(s.Key, s.Own, s.Noise, k.keep)
+	if !k.summary {
+		k.r.Spans = append(k.r.Spans, s)
+	}
 	if s.Noise {
 		k.noiseIdx[s.CPU] = append(k.noiseIdx[s.CPU], ispanKey{
 			start: s.Start, end: s.Start + s.Wall, own: s.Own,
-			key: s.Key, idx: int32(len(k.r.Spans) - 1),
+			key: s.Key, idx: k.n,
 		})
 	}
+	k.n++
 }
 
 // replay applies the scheduler/owner/preemption-window state machine
@@ -46,15 +56,18 @@ func (k *reportSink) emit(s Span) {
 // (dropped, like unclosed spans) and, per CPU, the interruption index
 // of the noise spans (see ispanKey), written in record order.
 //
+// With summary set, spans are only accumulated (see reportSink). The
+// index slices come from ispanPool; the caller recycles them.
+//
 // The replay checks ctx every cancelStride exits and every few thousand
 // scheduler records; on cancellation it returns the state it has (the
 // caller detects ctx.Err() and marks the report).
-func (r *Report) replay(ctx context.Context, ctl *ctlStream, walkers []cpuWalker, opts *Options, isApp func(int64) bool) (map[int64]*window, [][]ispanKey) {
+func (r *Report) replay(ctx context.Context, ctl *ctlStream, walkers []cpuWalker, opts *Options, isApp func(int64) bool, summary bool) (map[int64]*window, [][]ispanKey) {
 	ncpu := len(walkers)
-	sink := reportSink{r: r, keep: opts.KeepDurations, noiseIdx: make([][]ispanKey, ncpu)}
+	sink := reportSink{r: r, keep: opts.KeepDurations && !summary, summary: summary, noiseIdx: make([][]ispanKey, ncpu)}
 	for c := range sink.noiseIdx {
 		if n := len(walkers[c].spans); n > 0 {
-			sink.noiseIdx[c] = make([]ispanKey, 0, n)
+			sink.noiseIdx[c] = getSlice[ispanKey](&ispanPool, n)
 		}
 	}
 	cpus := make([]cpuState, ncpu)

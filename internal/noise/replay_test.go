@@ -22,7 +22,9 @@ import (
 
 // shardPathMatrix runs tr through AnalyzeParallel, AnalyzeRaw (as
 // ".../raw") and AnalyzeStream (as ".../stream") at 1, 2, 4 and 8
-// shards and compares each report against the sequential oracle. Each
+// shards and compares each report against the sequential oracle, and
+// SummarizeStream (as ".../summary") against the oracle's report
+// folded by WindowSummary.AddReport. Each
 // value in epochs is set as the ignored Options.Epochs and adds an
 // "epochsN" level under the shard count; without epochs there is no
 // such level.
@@ -34,6 +36,8 @@ func shardPathMatrix(t *testing.T, tr *trace.Trace, base noise.Options, epochs .
 	}
 	raw := buf.Bytes()
 	want := noise.Analyze(tr, base)
+	var wantSum noise.WindowSummary
+	wantSum.AddReport(want)
 	if len(epochs) == 0 {
 		epochs = []int{0}
 	}
@@ -69,6 +73,17 @@ func shardPathMatrix(t *testing.T, tr *trace.Trace, base noise.Options, epochs .
 					t.Fatal(err)
 				}
 				compareReports(t, want, got)
+			})
+			t.Run(name+"/summary", func(t *testing.T) {
+				d, err := trace.NewDecoder(bytes.NewReader(raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := noise.SummarizeStream(context.Background(), d, opts, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				summariesEqual(t, "SummarizeStream", wantSum, got)
 			})
 		}
 	}

@@ -11,9 +11,12 @@
 // the daemon's per-stream determinism contract (docs/ARCHITECTURE.md
 // §6) rests on that.
 //
+// SummarizeStream produces the same WindowSummary straight from a
+// trace stream, without building the Report's detail.
+//
 // Window arranges WindowSummary values into a rolling ring (the
 // stats.Rolling shape, one bucket per flush interval): Add folds a
-// finished Report into the current bucket, Rotate advances the ring,
+// stream's summary into the current bucket, Rotate advances the ring,
 // and Merged folds the live buckets oldest-first into the summary the
 // sinks export.
 
@@ -60,16 +63,24 @@ type WindowSummary struct {
 // aggregates exactly, including the order-sensitive floating-point
 // moment state.
 func (w *WindowSummary) AddReport(r *Report) {
+	n := len(r.Interruptions)
+	if r.InterruptionsSampled {
+		n = r.InterruptionsTotal
+	}
+	w.add(r, n)
+}
+
+// add folds r with its exact interruption count n (a summary-only
+// report carries the count without the list).
+func (w *WindowSummary) add(r *Report, n int) {
 	w.Reports++
 	if r.Incomplete {
 		w.Incomplete++
 	}
 	if r.InterruptionsSampled {
 		w.Sampled++
-		w.Interruptions += r.InterruptionsTotal
-	} else {
-		w.Interruptions += len(r.Interruptions)
 	}
+	w.Interruptions += n
 	if r.CPUs > w.CPUs {
 		w.CPUs = r.CPUs
 	}
@@ -129,7 +140,7 @@ func (w *WindowSummary) CategoryFraction(c Category) float64 {
 }
 
 // Window is a rolling ring of WindowSummary buckets — the per-tenant
-// aggregate a collector daemon keeps between flushes. Reports fold
+// aggregate a collector daemon keeps between flushes. Summaries fold
 // into the current bucket; Rotate advances the ring once per flush
 // interval, discarding the oldest bucket when the ring is full, so
 // Merged always covers the last Buckets() intervals. A Window is not
@@ -149,8 +160,10 @@ func NewWindow(n int) *Window {
 	return &Window{buckets: make([]WindowSummary, n), filled: 1}
 }
 
-// Add folds one finished Report into the current bucket.
-func (w *Window) Add(r *Report) { w.buckets[w.head].AddReport(r) }
+// Add folds one stream's summary into the current bucket. Merging a
+// summary into a bucket is bit-identical to folding its Report there
+// with AddReport.
+func (w *Window) Add(s *WindowSummary) { w.buckets[w.head].Merge(s) }
 
 // Rotate freezes the current bucket and makes a zeroed bucket
 // current, discarding the oldest bucket once the ring is full.

@@ -27,6 +27,14 @@ func summariesEqual(t *testing.T, label string, want, got noise.WindowSummary) {
 	}
 }
 
+// summaryOf folds one Report into a fresh summary, the unit Window.Add
+// takes.
+func summaryOf(r *noise.Report) *noise.WindowSummary {
+	var s noise.WindowSummary
+	s.AddReport(r)
+	return &s
+}
+
 // TestWindowSingleReportBitIdentical: folding one batch Report into a
 // fresh window reproduces its aggregates exactly.
 func TestWindowSingleReportBitIdentical(t *testing.T) {
@@ -37,7 +45,7 @@ func TestWindowSingleReportBitIdentical(t *testing.T) {
 	want.AddReport(rep)
 
 	w := noise.NewWindow(4)
-	w.Add(rep)
+	w.Add(summaryOf(rep))
 	got := w.Merged()
 	summariesEqual(t, "one report", want, got)
 
@@ -74,7 +82,7 @@ func TestWindowMergeOrderMatchesSequentialFold(t *testing.T) {
 
 	w := noise.NewWindow(3)
 	for i, r := range reps {
-		w.Add(r)
+		w.Add(summaryOf(r))
 		if i < len(reps)-1 {
 			w.Rotate()
 		}
@@ -89,9 +97,9 @@ func TestWindowEviction(t *testing.T) {
 	keep := noise.Analyze(simTrace(2), noise.DefaultOptions())
 
 	w := noise.NewWindow(2)
-	w.Add(old)
+	w.Add(summaryOf(old))
 	w.Rotate()
-	w.Add(keep)
+	w.Add(summaryOf(keep))
 	w.Rotate() // old falls out
 	got := w.Merged()
 

@@ -117,10 +117,13 @@ echo "== daemon soak (multi-tenant streaming ingest, race-instrumented)"
 # the batch analyzer, plus an end-to-end soak with both transports
 # (HTTP + NOISED/1) live at once and a graceful drain. Both tests
 # assert runtime.NumGoroutine() back to baseline — the dynamic half of
-# the zero-leak guarantee (goroleak is the static half). Part of the
-# -race suite above; the dedicated step keeps the failure legible.
-go test -race -run 'TestRouterSoak|TestDaemonSoakMixedTransports' \
-    ./internal/daemon/...
+# the zero-leak guarantee (goroleak is the static half). The
+# TestSummarize* tests cover noise.SummarizeStream, the analysis every
+# stream runs, concurrently with the full path over shared pools. Part
+# of the -race suite above; the dedicated step keeps the failure
+# legible.
+go test -race -run 'TestRouterSoak|TestDaemonSoakMixedTransports|TestSummarize' \
+    ./internal/daemon/... ./internal/noise
 
 echo "== cancellation smoke: -timeout exits with the documented code"
 # A 1 ms deadline against a multi-second analysis must exit 3 — cleanly
