@@ -1,7 +1,8 @@
 package noise
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"osnoise/internal/trace"
 )
@@ -303,6 +304,15 @@ func (r *Report) noiseByCPU() ([][]Span, []int32) {
 	return byCPU, cpuIDs
 }
 
+// compareSpans orders noise spans by start time, ties by end time
+// descending, so an enclosing span precedes the spans nested in it.
+func compareSpans(a, b Span) int {
+	if a.Start != b.Start {
+		return cmp.Compare(a.Start, b.Start)
+	}
+	return cmp.Compare(b.Start+b.Wall, a.Start+a.Wall)
+}
+
 // interruptionsForCPU groups one CPU's noise spans (sorted in place) into
 // maximal interruptions separated by more than gap nanoseconds of user
 // time. CPUs are independent here — interruption grouping never crosses
@@ -313,14 +323,10 @@ func (r *Report) noiseByCPU() ([][]Span, []int32) {
 // timestamp boundaries) keep their record order, the contract the
 // parallel path reproduces with an explicit record-index tie-break
 // (keyCmpTotal). An unstable sort here would order tied components
-// arbitrarily and the two paths could diverge.
+// arbitrarily and the two paths could diverge. Every stable sort gives
+// the same output for a given comparator, whatever its algorithm.
 func interruptionsForCPU(cpu int32, spans []Span, gap int64) []Interruption {
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		return spans[i].Start+spans[i].Wall > spans[j].Start+spans[j].Wall
-	})
+	slices.SortStableFunc(spans, compareSpans)
 	// Worst case every span is its own interruption; the slice is copied
 	// into the report and discarded, so the over-cap is transient.
 	out := make([]Interruption, 0, len(spans))

@@ -188,15 +188,24 @@ func FuzzReadParallel(f *testing.F) {
 }
 
 // TestFuzzCorpus keeps the checked-in seed corpora under testdata/fuzz
-// in sync with seedInputs, so `go test` (which replays corpus files)
-// always covers the hostile headers even without -fuzz. Run with
-// OSNOISE_REGEN_CORPUS=1 to rewrite the files after changing the seeds.
+// in sync with seedInputs and collectorSeeds, so `go test` (which
+// replays corpus files) always covers the hostile headers and collection
+// orders even without -fuzz. Run with OSNOISE_REGEN_CORPUS=1 to rewrite
+// the files after changing the seeds.
 func TestFuzzCorpus(t *testing.T) {
-	targets := []string{"FuzzDecoder", "FuzzOpenRaw", "FuzzReadParallel"}
+	targets := []struct {
+		name  string
+		seeds func() [][]byte
+	}{
+		{"FuzzDecoder", seedInputs},
+		{"FuzzOpenRaw", seedInputs},
+		{"FuzzReadParallel", seedInputs},
+		{"FuzzCollectorOrder", collectorSeeds},
+	}
 	regen := os.Getenv("OSNOISE_REGEN_CORPUS") != ""
 	for _, target := range targets {
-		dir := filepath.Join("testdata", "fuzz", target)
-		for i, in := range seedInputs() {
+		dir := filepath.Join("testdata", "fuzz", target.name)
+		for i, in := range target.seeds() {
 			path := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
 			want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", in)
 			if regen {

@@ -140,6 +140,17 @@ func (r *Ring) Drain(dst []Event) []Event {
 	}
 }
 
+// pending returns how many events Flush would return now: the
+// unconsumed slots, bounded by the ring's capacity (an Overwrite ring
+// keeps at most that many).
+func (r *Ring) pending() int {
+	n := r.writePos.Load() - r.readPos.Load()
+	if n > uint64(len(r.slots)) {
+		n = uint64(len(r.slots))
+	}
+	return int(n)
+}
+
 // Flush consumes all remaining events, including those in the partially
 // filled current sub-buffer. The ring must be stopped first, mirroring
 // lttng stop && lttng destroy flushing partial sub-buffers.

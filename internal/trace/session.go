@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -189,23 +188,11 @@ func (s *Session) DrainCPU(cpu int, dst []Event) []Event {
 	return s.rings[cpu].Drain(dst)
 }
 
-// Collect stops the session and returns the complete trace, sorted by
-// timestamp (ties broken by CPU then emission order, which the sort
-// preserves because records are collected per CPU in order).
+// Collect stops the session and returns the complete trace in
+// collection order: by timestamp, ties broken by CPU and then by
+// emission order. It is a Collector's Finalize with no prior Drain.
 func (s *Session) Collect() *Trace {
-	s.Stop()
-	tr := &Trace{CPUs: s.cfg.CPUs, Lost: s.Lost(), Procs: s.Processes()}
-	for _, r := range s.rings {
-		tr.Events = r.Flush(tr.Events)
-	}
-	sort.SliceStable(tr.Events, func(i, j int) bool {
-		a, b := tr.Events[i], tr.Events[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		return a.CPU < b.CPU
-	})
-	return tr
+	return NewCollector(s).Finalize()
 }
 
 // ProcKind classifies a process in the trace's process table.

@@ -101,16 +101,20 @@ func (f Filter) Apply(tr *trace.Trace) *trace.Trace {
 }
 
 // Merge combines multiple traces (e.g. per-node captures) into one,
-// remapping each input's CPUs onto a disjoint range and re-sorting by
-// timestamp. The inputs must share a time base.
+// remapping each input's CPUs onto a disjoint range and merging the
+// inputs into collection order (trace.MergeRuns): by timestamp, then
+// remapped CPU, then input order. The inputs must share a time base.
 func Merge(traces ...*trace.Trace) *trace.Trace {
 	out := &trace.Trace{}
+	runs := make([][]trace.Event, len(traces))
 	base := int32(0)
-	for _, tr := range traces {
-		for _, ev := range tr.Events {
+	for i, tr := range traces {
+		run := make([]trace.Event, len(tr.Events))
+		for j, ev := range tr.Events {
 			ev.CPU += base
-			out.Events = append(out.Events, ev)
+			run[j] = ev
 		}
+		runs[i] = run
 		out.CPUs += tr.CPUs
 		out.Lost += tr.Lost
 		// Process tables concatenate; pids may collide across nodes
@@ -119,13 +123,7 @@ func Merge(traces ...*trace.Trace) *trace.Trace {
 		out.Procs = append(out.Procs, tr.Procs...)
 		base += int32(tr.CPUs)
 	}
-	sort.SliceStable(out.Events, func(i, j int) bool {
-		a, b := out.Events[i], out.Events[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		return a.CPU < b.CPU
-	})
+	out.Events = trace.MergeRuns(runs)
 	return out
 }
 

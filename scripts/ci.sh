@@ -85,13 +85,15 @@ echo "== fuzz smoke: noisevet directive parser"
 # run, and a short live fuzz keeps the corpus honest.
 go test ./internal/analysis/directive -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s
 
-echo "== fuzz smoke: trace codec + decoder surfaces"
+echo "== fuzz smoke: trace codec + decoder surfaces + collection order"
 # -fuzz accepts a single target per invocation; smoke each codec fuzzer
-# briefly. FuzzParse (paraver) is covered by its seed corpus in the
+# briefly, and FuzzCollectorOrder, which checks the per-CPU merge behind
+# Collector.Finalize and Session.Collect against a whole-trace stable
+# sort. FuzzParse (paraver) is covered by its seed corpus in the
 # regular run above; the checked-in corpora under
 # internal/trace/testdata/fuzz replay during the plain test run too.
 for target in FuzzRead FuzzReadCompressed FuzzReadAny \
-              FuzzDecoder FuzzOpenRaw FuzzReadParallel; do
+              FuzzDecoder FuzzOpenRaw FuzzReadParallel FuzzCollectorOrder; do
     go test ./internal/trace -run="^$" -fuzz="^${target}\$" -fuzztime=10s
 done
 
